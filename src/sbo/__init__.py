@@ -2,8 +2,8 @@
 
 from .client import (
     BlockDecision,
-    BlockEntry,
     BlockSet,
+    CachedAccount,
     EnforcementClient,
     IntegrationConfig,
     IntegrationMethod,
@@ -51,7 +51,7 @@ from .similarity import average_hash, image_distance, levenshtein, text_similari
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecision", "BlockEntry", "BlockSet", "BlockListRecord", "CRMLDocument",
+    "BlockDecision", "BlockSet", "BlockListRecord", "CRMLDocument", "CachedAccount",
     "ContactRecord", "DEFAULT_THRESHOLDS", "EnforcementClient", "IdentifierKind",
     "ImageHash", "IntegrationConfig", "IntegrationMethod", "LoginBlockReport",
     "Manual", "MatchResult", "MatchThresholds", "OnLogin", "Operator", "Periodic",

@@ -157,11 +157,7 @@ def cmd_check_profile(args) -> int:
             {
                 "provider": m.provider_host, "account": m.account,
                 "list": m.list_name, "contact_id": m.contact_id,
-                "trace": [
-                    {"kind": o.kind.value, "op": o.op.value, "score": o.score,
-                     "threshold": o.threshold, "verdict": o.verdict, "detail": o.detail}
-                    for o in m.result.trace
-                ],
+                "trace": [o.as_dict() for o in m.result.trace],
             }
             for m in decision.matches
         ],

@@ -135,10 +135,12 @@ def resolve_integration(configs: Sequence[IntegrationConfig],
 # --- the merged cache ---
 
 @dataclass(frozen=True)
-class BlockEntry:
-    provider_host: str
-    account: str
-    block_list: BlockListRecord
+class CachedAccount:
+    """One provider account's lists as last fetched, with the ETag that fetch returned."""
+
+    block_lists: tuple[BlockListRecord, ...]
+    etag: str
+    fetched_at: datetime
 
 
 @dataclass(frozen=True)
@@ -150,14 +152,8 @@ class FetchFailure:
 
 @dataclass(frozen=True)
 class BlockSet:
-    entries: tuple[BlockEntry, ...] = ()
-    digests: dict[tuple[str, str], str] = field(default_factory=dict)
-    fetched_at: dict[tuple[str, str], datetime] = field(default_factory=dict)
+    accounts: dict[tuple[str, str], CachedAccount] = field(default_factory=dict)  # (host, account)
     errors: tuple[FetchFailure, ...] = ()
-
-    def entries_for(self, provider_host: str, account: str) -> tuple[BlockEntry, ...]:
-        return tuple(e for e in self.entries
-                     if e.provider_host == provider_host and e.account == account)
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,7 @@ class EnforcementClient:
     def fetch_block_set(self, previous: BlockSet | None = None) -> BlockSet:
         """Fetch every configured provider account and merge.
 
-        Per account: conditional fetch against the stored digest; a failure
+        Per account: conditional fetch against the stored ETag; a failure
         keeps the previous lists in place (staleness over gaps). Raises
         EmptyBlockSetError only on total failure with no previous cache.
         """
@@ -264,39 +260,27 @@ class EnforcementClient:
             groups.setdefault((config.provider_host, config.account_name), []).append(config)
         available = self.available_methods()
         now = self._clock()
-        entries: list[BlockEntry] = []
-        digests: dict[tuple[str, str], str] = {}
-        fetched_at: dict[tuple[str, str], datetime] = {}
+        accounts: dict[tuple[str, str], CachedAccount] = {}
         errors: list[FetchFailure] = []
         for key, group in groups.items():
-            host, account = key
-            prev_digest = previous.digests.get(key) if previous else None
+            cached = previous.accounts.get(key) if previous is not None else None
             try:
                 config = resolve_integration(group, available)
                 self.last_fetch_methods[key] = config.method
-                doc, etag = self._get_crml(config, prev_digest)
+                doc, etag = self._get_crml(config, cached.etag if cached else None)
             except (FetchError, RestApiError, NoIntegrationAvailable,
                     BrokerUnavailable) as exc:
-                errors.append(FetchFailure(host, account, str(exc)))
-                if previous is not None and key in previous.digests:
-                    entries.extend(previous.entries_for(host, account))
-                    digests[key] = previous.digests[key]
-                    fetched_at[key] = previous.fetched_at[key]
-                continue
-            if doc is None:  # not modified
-                assert previous is not None
-                entries.extend(previous.entries_for(host, account))
-                digests[key] = previous.digests[key]
-                fetched_at[key] = previous.fetched_at[key]
-            else:
-                entries.extend(BlockEntry(host, account, bl) for bl in doc.block_lists)
-                digests[key] = etag
-                fetched_at[key] = now
+                errors.append(FetchFailure(*key, str(exc)))
+                doc = None
+            if doc is not None:
+                accounts[key] = CachedAccount(doc.block_lists, etag, now)
+            elif cached is not None:  # not modified, or failed: keep what we had
+                accounts[key] = cached
         if groups and len(errors) == len(groups) and previous is None:
             raise EmptyBlockSetError(
                 "every provider fetch failed and no previous block set exists: "
                 + "; ".join(e.error for e in errors))
-        return BlockSet(tuple(entries), digests, fetched_at, tuple(errors))
+        return BlockSet(accounts, tuple(errors))
 
     def refresh(self, now: datetime | None = None) -> BlockSet:
         """Build a new BlockSet and publish it atomically."""
@@ -334,22 +318,20 @@ class EnforcementClient:
         current = blockset if blockset is not None else self.blockset
         matches: list[MatchRecord] = []
         eval_errors: list[EvalFailure] = []
-        for entry in current.entries:
-            block_list = entry.block_list
-            ast = cached_parse_rule(block_list.rule_text)
-            for contact in block_list.contacts:
-                try:
-                    result = evaluate_rule(ast, contact, profile,
-                                           block_list.strictness, self.thresholds)
-                except EvalError as exc:
-                    eval_errors.append(EvalFailure(
-                        entry.provider_host, entry.account, block_list.name,
-                        contact.contact_id, str(exc)))
-                    continue
-                if result.matched:
-                    matches.append(MatchRecord(
-                        entry.provider_host, entry.account, block_list.name,
-                        contact.contact_id, result))
+        for (host, account), cached in current.accounts.items():
+            for block_list in cached.block_lists:
+                ast = cached_parse_rule(block_list.rule_text)
+                for contact in block_list.contacts:
+                    try:
+                        result = evaluate_rule(ast, contact, profile,
+                                               block_list.strictness, self.thresholds)
+                    except EvalError as exc:
+                        eval_errors.append(EvalFailure(
+                            host, account, block_list.name, contact.contact_id, str(exc)))
+                        continue
+                    if result.matched:
+                        matches.append(MatchRecord(
+                            host, account, block_list.name, contact.contact_id, result))
         return BlockDecision(bool(matches), tuple(matches), tuple(eval_errors))
 
     def on_blocked_user_login(self, identifiers: dict,

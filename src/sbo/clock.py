@@ -24,9 +24,6 @@ class SimulatedClock:
 
     __call__ = now
 
-    def elapsed_seconds(self) -> float:
-        return (self._now - self.start).total_seconds()
-
     def advance(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("the clock only moves forward")

@@ -19,12 +19,13 @@ from .errors import CRMLSyntaxError, ParseError, RuleError, SchemaError
 from .identifiers import (
     ContactRecord,
     IdentifierKind,
+    IdentifierMap,
     IdentifierValue,
     ImageHash,
     Strictness,
     check_value_shape,
 )
-from .rules import parse_rule
+from .rules import cached_parse_rule
 
 CRML_VERSION = "1.0"
 
@@ -97,7 +98,7 @@ def validate_document(doc: CRMLDocument) -> list[Violation]:
             found.append(Violation("DuplicateListName", list_path))
         seen_names.add(block_list.name)
         try:
-            parse_rule(block_list.rule_text)
+            cached_parse_rule(block_list.rule_text)
         except ParseError:
             found.append(Violation("BadRuleText", f"{list_path}.rule_text"))
         seen_ids: set[str] = set()
@@ -117,12 +118,6 @@ def validate_document(doc: CRMLDocument) -> list[Violation]:
 
 # --- shared raw tree: the object-format shape, used by both encodings ---
 
-def _value_to_raw(value: IdentifierValue) -> object:
-    if isinstance(value, ImageHash):
-        return {"phash64": value.to_hex()}
-    return value
-
-
 def _doc_to_raw(doc: CRMLDocument) -> dict:
     return {
         "crml_version": doc.crml_version,
@@ -137,9 +132,7 @@ def _doc_to_raw(doc: CRMLDocument) -> dict:
                 "contacts": [
                     {
                         "contact_id": c.contact_id,
-                        "identifiers": {
-                            kind.value: _value_to_raw(v) for kind, v in c.identifiers.items()
-                        },
+                        "identifiers": encode_identifier_map(c.identifiers),
                     }
                     for c in bl.contacts
                 ],
@@ -188,6 +181,14 @@ def parse_identifier_map(raw: object, path: str = "identifiers") -> dict[Identif
             raise SchemaError(f"unknown identifier kind {key!r} at {path}") from None
         out[kind] = _raw_to_value(kind, value, f"{path}.{key}")
     return out
+
+
+def encode_identifier_map(identifiers: IdentifierMap) -> dict:
+    """Wire shape of an identifier map; the inverse of parse_identifier_map."""
+    return {
+        kind.value: {"phash64": v.to_hex()} if isinstance(v, ImageHash) else v
+        for kind, v in identifiers.items()
+    }
 
 
 def _raw_to_doc(raw: object) -> CRMLDocument:

@@ -12,7 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .crml import WireFormat, serialize_crml
+from .crml import WireFormat, encode_identifier_map, serialize_crml
 from .errors import (
     NotFoundError,
     RuleError,
@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .identifiers import Strictness
-from .provider import ProviderService, _wire_identifiers
+from .provider import ProviderService
 from .transport import ApiRequest, ApiResponse
 
 _JSON = {"Content-Type": "application/json"}
@@ -97,7 +97,7 @@ class ProviderApi:
                 strictness = self._strictness(self._field(body, "strictness"))
                 record = self.service.create_block_list(
                     token, self._field(body, "name"), strictness,
-                    body.get("rule_text"), account_name=account)
+                    self._field(body, "rule_text", required=False), account_name=account)
                 return _ok(201, {"name": record.name,
                                  "strictness": record.strictness.value,
                                  "rule_text": record.rule_text, "contacts": []})
@@ -111,7 +111,7 @@ class ProviderApi:
                 contact = self.service.add_contact(
                     token, rest[3], identifiers, account_name=account)
                 return _ok(201, {"contact_id": contact.contact_id,
-                                 "identifiers": _wire_identifiers(contact.identifiers)})
+                                 "identifiers": encode_identifier_map(contact.identifiers)})
 
             if len(rest) == 6 and rest[2] == "blocklists" and rest[4] == "contacts" \
                     and method == "DELETE":
@@ -142,15 +142,18 @@ class ProviderApi:
     def _body(req: ApiRequest) -> dict:
         try:
             body = json.loads(req.body.decode("utf-8") or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError also covers integers with too many digits; RecursionError, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise ValidationError("request body must be a JSON object")
         return body
 
     @staticmethod
-    def _field(body: dict, name: str) -> str:
+    def _field(body: dict, name: str, required: bool = True) -> str | None:
         value = body.get(name)
+        if value is None and not required:
+            return None
         if not isinstance(value, str):
             raise ValidationError(f"missing or non-string field {name!r}", path=name)
         return value
@@ -174,10 +177,14 @@ class _Handler(BaseHTTPRequestHandler):
     api: ProviderApi  # set by serve()
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        req = ApiRequest(self.command, self.path, dict(self.headers.items()), body)
-        resp = self.api.handle(req)
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if length.isascii() and length.isdigit():
+            body = self.rfile.read(int(length))
+            resp = self.api.handle(
+                ApiRequest(self.command, self.path, dict(self.headers.items()), body))
+        else:
+            resp = _ok(400, ValidationError(
+                "Content-Length must be a non-negative integer").to_wire())
         self.send_response(resp.status)
         for key, value in resp.headers.items():
             self.send_header(key, value)

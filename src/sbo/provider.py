@@ -2,7 +2,8 @@
 
 State is guarded by one lock (single writer, readers always see a committed
 snapshot). Durability is a single append-only JSONL file of mutation records
-with periodic snapshot compaction; boot replays the log over the latest
+with periodic snapshot compaction. Every mutation is one log record, applied
+by the same function on a live call and on boot replay over the latest
 snapshot. Contact identifiers are stored post-normalization.
 """
 
@@ -24,6 +25,7 @@ from .crml import (
     BlockListRecord,
     CRMLDocument,
     CRML_VERSION,
+    encode_identifier_map,
     parse_identifier_map,
 )
 from .errors import (
@@ -41,7 +43,6 @@ from .identifiers import (
     ContactRecord,
     IdentifierKind,
     IdentifierValue,
-    ImageHash,
     Profile,
     Strictness,
     normalize_value,
@@ -75,7 +76,7 @@ class _StoredList:
     strictness: Strictness
     rule_text: str
     updated_at: datetime
-    contacts: list[ContactRecord] = field(default_factory=list)
+    contacts: dict[str, ContactRecord] = field(default_factory=dict)  # by contact_id
     revision: int = 1
     next_contact_seq: int = 1
 
@@ -87,17 +88,6 @@ class _Account:
     credential_hash: bytes
     iterations: int
     lists: dict[str, _StoredList] = field(default_factory=dict)
-
-
-def _value_key(value: IdentifierValue) -> str:
-    return value.to_hex() if isinstance(value, ImageHash) else value
-
-
-def _wire_identifiers(identifiers: dict[IdentifierKind, IdentifierValue]) -> dict:
-    return {
-        kind.value: ({"phash64": v.to_hex()} if isinstance(v, ImageHash) else v)
-        for kind, v in identifiers.items()
-    }
 
 
 class ProviderService:
@@ -125,7 +115,6 @@ class ProviderService:
         self._lock = threading.RLock()
         self._accounts: dict[str, _Account] = {}
         self._tokens: dict[str, tuple[str, datetime]] = {}
-        self._reverse: dict[tuple[str, str], set[tuple[str, str]]] = {}
         self._data_path = Path(data_path) if data_path is not None else None
         self._log_file = None
         self._mutations_since_snapshot = 0
@@ -150,8 +139,7 @@ class ProviderService:
                 raise ConflictError(f"account {account_name!r} already exists")
             salt = self._random_bytes(16)
             digest = self._hash_secret(secret, salt, self._iterations)
-            self._apply_create_account(account_name, salt, digest, self._iterations)
-            self._append({
+            self._commit({
                 "kind": "create_account",
                 "at": self._now_iso(),
                 "account": account_name,
@@ -206,10 +194,8 @@ class ProviderService:
                 rule_text = render_rule(default_rule())
             else:
                 self._check_rule(rule_text, name)
-            at = self._now_iso()
-            self._apply_create_list(account.name, name, strictness.value, rule_text, at)
-            self._append({
-                "kind": "create_block_list", "at": at, "account": account.name,
+            self._commit({
+                "kind": "create_block_list", "at": self._now_iso(), "account": account.name,
                 "name": name, "strictness": strictness.value, "rule_text": rule_text,
             })
             return self._wire_list(account.lists[name])
@@ -224,12 +210,10 @@ class ProviderService:
                 raise ValidationError("at least one identifier is required",
                                       path="identifiers")
             contact_id = f"c-{stored.next_contact_seq:03d}"
-            at = self._now_iso()
-            self._apply_add_contact(account.name, list_name, contact_id, normalized, at)
-            self._append({
-                "kind": "add_contact", "at": at, "account": account.name,
+            self._commit({
+                "kind": "add_contact", "at": self._now_iso(), "account": account.name,
                 "list": list_name, "contact_id": contact_id,
-                "identifiers": _wire_identifiers(normalized),
+                "identifiers": encode_identifier_map(normalized),
             })
             return ContactRecord(contact_id, normalized)
 
@@ -238,12 +222,10 @@ class ProviderService:
         with self._lock:
             account = self._authorize(token, account_name)
             stored = self._find_list(account, list_name)
-            if all(c.contact_id != contact_id for c in stored.contacts):
+            if contact_id not in stored.contacts:
                 raise NotFoundError(f"no contact {contact_id!r} in {list_name!r}")
-            at = self._now_iso()
-            self._apply_remove_contact(account.name, list_name, contact_id, at)
-            self._append({
-                "kind": "remove_contact", "at": at, "account": account.name,
+            self._commit({
+                "kind": "remove_contact", "at": self._now_iso(), "account": account.name,
                 "list": list_name, "contact_id": contact_id,
             })
 
@@ -253,10 +235,8 @@ class ProviderService:
             account = self._authorize(token, account_name)
             self._find_list(account, list_name)
             self._check_rule(rule_text, list_name)
-            at = self._now_iso()
-            self._apply_set_rule(account.name, list_name, rule_text, at)
-            self._append({
-                "kind": "set_rule", "at": at, "account": account.name,
+            self._commit({
+                "kind": "set_rule", "at": self._now_iso(), "account": account.name,
                 "list": list_name, "rule_text": rule_text,
             })
 
@@ -264,49 +244,27 @@ class ProviderService:
 
     def export_crml(self, token: str, list_names: Iterable[str] | None = None,
                     account_name: str | None = None) -> CRMLDocument:
-        with self._lock:
-            account = self._authorize(token, account_name)
-            selected = self._select_lists(account, list_names)
-            return CRMLDocument(
-                crml_version=CRML_VERSION,
-                provider=self.provider_name,
-                account=account.name,
-                issued_at=self._clock(),
-                block_lists=tuple(self._wire_list(s) for s in selected),
-            )
+        return self.export_with_digest(token, list_names, account_name)[0]
 
     def export_with_digest(self, token: str, list_names: Iterable[str] | None = None,
                            account_name: str | None = None) -> tuple[CRMLDocument, str]:
-        """Document plus its entity version, computed atomically for conditional GET."""
-        with self._lock:
-            doc = self.export_crml(token, list_names, account_name)
-            return doc, self.export_digest(doc.account, list_names)
+        """Document plus its entity version (the ETag), read in one pass under the lock.
 
-    def export_digest(self, account_name: str,
-                      list_names: Iterable[str] | None = None) -> str:
-        """Content digest for conditional refresh; excludes issued_at, covers revisions."""
+        The digest covers each selected list's revision and contacts but not
+        issued_at, so an unchanged account keeps its ETag across exports.
+        """
         with self._lock:
-            account = self._accounts.get(account_name)
-            if account is None:
-                raise NotFoundError(f"unknown account {account_name!r}")
+            account = self._authorize(token, account_name)
             selected = self._select_lists(account, list_names)
-            payload = json.dumps({
-                "provider": self.provider_name,
-                "account": account.name,
-                "lists": [
-                    {
-                        "name": s.name, "strictness": s.strictness.value,
-                        "rule_text": s.rule_text, "revision": s.revision,
-                        "contacts": [
-                            {"contact_id": c.contact_id,
-                             "identifiers": _wire_identifiers(c.identifiers)}
-                            for c in s.contacts
-                        ],
-                    }
-                    for s in selected
-                ],
-            }, separators=(",", ":"), sort_keys=True)
-            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            block_lists = tuple(self._wire_list(s) for s in selected)
+            raw_lists = [self._raw_list(s) for s in selected]
+            issued_at = self._clock()
+        payload = json.dumps({
+            "provider": self.provider_name, "account": account.name, "lists": raw_lists,
+        }, separators=(",", ":"), sort_keys=True)
+        doc = CRMLDocument(CRML_VERSION, self.provider_name, account.name, issued_at,
+                           block_lists)
+        return doc, hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def blocked_by(self, identifiers: dict) -> list[tuple[str, str]]:
         """All (account, list) pairs whose rule matches the submitted identifiers.
@@ -323,7 +281,7 @@ class ProviderService:
             for account in self._accounts.values():
                 for stored in account.lists.values():
                     ast = cached_parse_rule(stored.rule_text)
-                    for contact in stored.contacts:
+                    for contact in stored.contacts.values():
                         try:
                             result = evaluate_rule(ast, contact, profile,
                                                    stored.strictness, self.thresholds)
@@ -334,80 +292,11 @@ class ProviderService:
                             break
         return blockers
 
-    # --- reverse index ---
-
-    def reverse_index(self) -> dict[tuple[str, str], set[tuple[str, str]]]:
-        """Copy of the maintained (kind, value) -> {(account, list)} index."""
-        with self._lock:
-            return {key: set(pairs) for key, pairs in self._reverse.items()}
-
-    def rebuild_reverse_index(self) -> dict[tuple[str, str], set[tuple[str, str]]]:
-        """From-scratch recomputation over all stored lists (consistency oracle)."""
-        with self._lock:
-            index: dict[tuple[str, str], set[tuple[str, str]]] = {}
-            for account in self._accounts.values():
-                for stored in account.lists.values():
-                    for contact in stored.contacts:
-                        for kind, value in contact.identifiers.items():
-                            key = (kind.value, _value_key(value))
-                            index.setdefault(key, set()).add((account.name, stored.name))
-            return index
-
     # --- state transitions (shared by live calls and log replay) ---
 
-    def _apply_create_account(self, name: str, salt: bytes, digest: bytes,
-                              iterations: int) -> None:
-        self._accounts[name] = _Account(name, salt, digest, iterations)
-
-    def _apply_create_list(self, account: str, name: str, strictness: str,
-                           rule_text: str, at: str) -> None:
-        self._accounts[account].lists[name] = _StoredList(
-            name=name, strictness=Strictness(strictness), rule_text=rule_text,
-            updated_at=_parse_iso(at))
-
-    def _apply_add_contact(self, account: str, list_name: str, contact_id: str,
-                           identifiers: dict[IdentifierKind, IdentifierValue],
-                           at: str) -> None:
-        stored = self._accounts[account].lists[list_name]
-        stored.contacts.append(ContactRecord(contact_id, identifiers))
-        seq = int(contact_id.split("-", 1)[1])
-        stored.next_contact_seq = max(stored.next_contact_seq, seq) + 1
-        self._touch(stored, at)
-        pair = (account, list_name)
-        for kind, value in identifiers.items():
-            self._reverse.setdefault((kind.value, _value_key(value)), set()).add(pair)
-
-    def _apply_remove_contact(self, account: str, list_name: str, contact_id: str,
-                              at: str) -> None:
-        stored = self._accounts[account].lists[list_name]
-        removed = next(c for c in stored.contacts if c.contact_id == contact_id)
-        stored.contacts = [c for c in stored.contacts if c.contact_id != contact_id]
-        self._touch(stored, at)
-        pair = (account, list_name)
-        for kind, value in removed.identifiers.items():
-            key = (kind.value, _value_key(value))
-            still_present = any(
-                c.identifiers.get(kind) == value for c in stored.contacts
-            )
-            if not still_present and key in self._reverse:
-                self._reverse[key].discard(pair)
-                if not self._reverse[key]:
-                    del self._reverse[key]
-
-    def _apply_set_rule(self, account: str, list_name: str, rule_text: str,
-                        at: str) -> None:
-        stored = self._accounts[account].lists[list_name]
-        stored.rule_text = rule_text
-        self._touch(stored, at)
-
-    @staticmethod
-    def _touch(stored: _StoredList, at: str) -> None:
-        stored.revision += 1
-        stored.updated_at = _parse_iso(at)
-
-    # --- persistence ---
-
-    def _append(self, record: dict) -> None:
+    def _commit(self, record: dict) -> None:
+        """Apply one mutation record, then append it; it is acknowledged once fsynced."""
+        self._apply(record)
         if self._log_file is None:
             return
         self._log_file.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -416,6 +305,38 @@ class ProviderService:
         self._mutations_since_snapshot += 1
         if self._mutations_since_snapshot >= self._snapshot_every:
             self._compact()
+
+    def _apply(self, record: dict) -> None:
+        kind = record["kind"]
+        if kind == "create_account":
+            name = record["account"]
+            self._accounts[name] = _Account(name, bytes.fromhex(record["salt"]),
+                                            bytes.fromhex(record["credential_hash"]),
+                                            record["iterations"])
+            return
+        lists = self._accounts[record["account"]].lists
+        if kind == "create_block_list":
+            lists[record["name"]] = _StoredList(
+                name=record["name"], strictness=Strictness(record["strictness"]),
+                rule_text=record["rule_text"], updated_at=_parse_iso(record["at"]))
+            return
+        stored = lists[record["list"]]
+        if kind == "add_contact":
+            contact_id = record["contact_id"]
+            stored.contacts[contact_id] = ContactRecord(
+                contact_id, parse_identifier_map(record["identifiers"]))
+            seq = int(contact_id.split("-", 1)[1])
+            stored.next_contact_seq = max(stored.next_contact_seq, seq) + 1
+        elif kind == "remove_contact":
+            del stored.contacts[record["contact_id"]]
+        elif kind == "set_rule":
+            stored.rule_text = record["rule_text"]
+        else:
+            raise ValueError(f"unknown log record kind {kind!r}")
+        stored.revision += 1
+        stored.updated_at = _parse_iso(record["at"])
+
+    # --- persistence ---
 
     def _compact(self) -> None:
         assert self._data_path is not None
@@ -429,6 +350,12 @@ class ProviderService:
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp_path, self._data_path)
+        # the rename itself is durable only once the directory entry is synced
+        dir_fd = os.open(self._data_path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         self._log_file = open(self._data_path, "a", encoding="utf-8")
         self._mutations_since_snapshot = 0
 
@@ -441,19 +368,9 @@ class ProviderService:
                     "credential_hash": a.credential_hash.hex(),
                     "iterations": a.iterations,
                     "lists": [
-                        {
-                            "name": s.name,
-                            "strictness": s.strictness.value,
-                            "rule_text": s.rule_text,
-                            "updated_at": s.updated_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                            "revision": s.revision,
-                            "next_contact_seq": s.next_contact_seq,
-                            "contacts": [
-                                {"contact_id": c.contact_id,
-                                 "identifiers": _wire_identifiers(c.identifiers)}
-                                for c in s.contacts
-                            ],
-                        }
+                        {**self._raw_list(s),
+                         "updated_at": s.updated_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                         "next_contact_seq": s.next_contact_seq}
                         for s in a.lists.values()
                     ],
                 }
@@ -471,76 +388,41 @@ class ProviderService:
             )
             self._accounts[account.name] = account
             for raw_list in raw_account["lists"]:
-                stored = _StoredList(
+                account.lists[raw_list["name"]] = _StoredList(
                     name=raw_list["name"],
                     strictness=Strictness(raw_list["strictness"]),
                     rule_text=raw_list["rule_text"],
                     updated_at=_parse_iso(raw_list["updated_at"]),
+                    contacts={
+                        c["contact_id"]: ContactRecord(
+                            c["contact_id"], parse_identifier_map(c["identifiers"]))
+                        for c in raw_list["contacts"]
+                    },
                     revision=raw_list["revision"],
                     next_contact_seq=raw_list["next_contact_seq"],
                 )
-                account.lists[stored.name] = stored
-                pair = (account.name, stored.name)
-                for raw_contact in raw_list["contacts"]:
-                    identifiers = parse_identifier_map(raw_contact["identifiers"])
-                    stored.contacts.append(
-                        ContactRecord(raw_contact["contact_id"], identifiers))
-                    for kind, value in identifiers.items():
-                        self._reverse.setdefault(
-                            (kind.value, _value_key(value)), set()).add(pair)
-
-    def _replay(self, record: dict) -> None:
-        kind = record["kind"]
-        if kind == "create_account":
-            self._apply_create_account(
-                record["account"], bytes.fromhex(record["salt"]),
-                bytes.fromhex(record["credential_hash"]), record["iterations"])
-        elif kind == "create_block_list":
-            self._apply_create_list(record["account"], record["name"],
-                                    record["strictness"], record["rule_text"],
-                                    record["at"])
-        elif kind == "add_contact":
-            self._apply_add_contact(record["account"], record["list"],
-                                    record["contact_id"],
-                                    parse_identifier_map(record["identifiers"]),
-                                    record["at"])
-        elif kind == "remove_contact":
-            self._apply_remove_contact(record["account"], record["list"],
-                                       record["contact_id"], record["at"])
-        elif kind == "set_rule":
-            self._apply_set_rule(record["account"], record["list"],
-                                 record["rule_text"], record["at"])
-        else:
-            raise ValueError(f"unknown log record kind {kind!r}")
 
     def _load(self) -> None:
         assert self._data_path is not None
         if not self._data_path.exists():
             return
-        lines = self._data_path.read_text(encoding="utf-8").splitlines()
-        records: list[dict] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn final write; the mutation never committed
-                raise
-        start = 0
-        for i, record in enumerate(records):
-            if record.get("kind") == "snapshot":
-                start = i
-        self._accounts.clear()
-        self._reverse.clear()
+        data = self._data_path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # A torn final write was never acknowledged: cut it off so the next
+            # append starts a line of its own instead of extending the torn one.
+            with open(self._data_path, "r+b") as f:
+                f.truncate(end)
+                os.fsync(f.fileno())
+        records = [json.loads(line) for line in data[:end].decode("utf-8").splitlines()
+                   if line.strip()]
+        start = max((i for i, r in enumerate(records) if r["kind"] == "snapshot"),
+                    default=0)
         for record in records[start:]:
-            if record.get("kind") == "snapshot":
-                self._accounts.clear()
-                self._reverse.clear()
+            if record["kind"] == "snapshot":
                 self._restore_snapshot(record["state"])
             else:
-                self._replay(record)
+                self._apply(record)
 
     # --- helpers ---
 
@@ -586,8 +468,19 @@ class ProviderService:
             rule_text=stored.rule_text,
             # fresh identifier dicts so exported documents never alias store state
             contacts=tuple(ContactRecord(c.contact_id, dict(c.identifiers))
-                           for c in stored.contacts),
+                           for c in stored.contacts.values()),
         )
+
+    @staticmethod
+    def _raw_list(stored: _StoredList) -> dict:
+        """A list in wire shape; both the ETag payload and the snapshot are built from it."""
+        return {
+            "name": stored.name, "strictness": stored.strictness.value,
+            "rule_text": stored.rule_text, "revision": stored.revision,
+            "contacts": [{"contact_id": c.contact_id,
+                          "identifiers": encode_identifier_map(c.identifiers)}
+                         for c in stored.contacts.values()],
+        }
 
     @staticmethod
     def _hash_secret(secret: str, salt: bytes, iterations: int) -> bytes:

@@ -105,6 +105,9 @@ class _Token:
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+|\d+|[()]|\S")
+# Deeper parentheses would exhaust the interpreter stack in the recursive
+# parser and evaluator; rule text arrives from outside, so refuse them.
+_MAX_NESTING = 64
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -131,6 +134,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.vocab = _kind_vocabulary()
 
     def parse(self) -> RuleNode:
@@ -156,6 +160,10 @@ class _Parser:
     def _primary(self) -> RuleNode:
         tok = self._peek()
         if tok.type == "LPAREN":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {_MAX_NESTING}",
+                                 position=tok.position, expected=("identifier name",))
+            self.depth += 1
             self._advance()
             node = self._expr()
             closing = self._peek()
@@ -163,6 +171,7 @@ class _Parser:
                 raise ParseError("unbalanced parenthesis", position=closing.position,
                                  expected=(")",))
             self._advance()
+            self.depth -= 1
             return node
         return self._predicate()
 
@@ -331,6 +340,10 @@ class PredicateOutcome:
     threshold: float | int | None
     verdict: bool
     detail: str | None = None
+
+    def as_dict(self) -> dict:
+        return {"kind": self.kind.value, "op": self.op.value, "score": self.score,
+                "threshold": self.threshold, "verdict": self.verdict, "detail": self.detail}
 
 
 @dataclass(frozen=True)

@@ -178,32 +178,25 @@ class _Runner:
     def _explain(self, app: _App, profile: Profile) -> list[dict]:
         """Full predicate traces for every cached contact (attached on failures)."""
         explained = []
-        for entry in app.client.blockset.entries:
-            block_list = entry.block_list
-            ast = cached_parse_rule(block_list.rule_text)
-            for contact in block_list.contacts:
-                row = {
-                    "provider": entry.provider_host,
-                    "account": entry.account,
-                    "list": block_list.name,
-                    "contact_id": contact.contact_id,
-                }
-                try:
-                    result = evaluate_rule(ast, contact, profile, block_list.strictness,
-                                           app.client.thresholds)
-                except EvalError as exc:
-                    row["error"] = str(exc)
-                else:
-                    row["matched"] = result.matched
-                    row["trace"] = [
-                        {
-                            "kind": o.kind.value, "op": o.op.value, "score": o.score,
-                            "threshold": o.threshold, "verdict": o.verdict,
-                            "detail": o.detail,
-                        }
-                        for o in result.trace
-                    ]
-                explained.append(row)
+        for (host, account), cached in app.client.blockset.accounts.items():
+            for block_list in cached.block_lists:
+                ast = cached_parse_rule(block_list.rule_text)
+                for contact in block_list.contacts:
+                    row = {
+                        "provider": host,
+                        "account": account,
+                        "list": block_list.name,
+                        "contact_id": contact.contact_id,
+                    }
+                    try:
+                        result = evaluate_rule(ast, contact, profile, block_list.strictness,
+                                               app.client.thresholds)
+                    except EvalError as exc:
+                        row["error"] = str(exc)
+                    else:
+                        row["matched"] = result.matched
+                        row["trace"] = [o.as_dict() for o in result.trace]
+                    explained.append(row)
         return explained
 
     def _methods_map(self, app: _App) -> dict[str, str]:

@@ -16,31 +16,28 @@ from typing import Protocol
 from .errors import FetchError
 
 
+class _HeaderLookup:
+    headers: dict[str, str]
+
+    def header(self, name: str) -> str | None:
+        """The value of a header, matched case-insensitively."""
+        wanted = name.lower()
+        return next((v for k, v in self.headers.items() if k.lower() == wanted), None)
+
+
 @dataclass
-class ApiRequest:
+class ApiRequest(_HeaderLookup):
     method: str
     path: str  # percent-encoded, may include a query string
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
-    def header(self, name: str) -> str | None:
-        for key, value in self.headers.items():
-            if key.lower() == name.lower():
-                return value
-        return None
-
 
 @dataclass
-class ApiResponse:
+class ApiResponse(_HeaderLookup):
     status: int
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-
-    def header(self, name: str) -> str | None:
-        for key, value in self.headers.items():
-            if key.lower() == name.lower():
-                return value
-        return None
 
     def json(self) -> object:
         return json.loads(self.body.decode("utf-8"))

@@ -113,17 +113,16 @@ def test_criterion_4_provider_durability(tmp_path):
     service = make_service(path, snapshot_every=60)
     _seed_random_state(service, rng, mutations=500)
     accounts = sorted(service._accounts)
-    digests = {name: service.export_digest(name) for name in accounts}
-    index = service.reverse_index()
+    digests = {name: service.export_with_digest(
+        service.issue_token(name, f"secret-{name}").token)[1] for name in accounts}
     service.close()  # kill
 
     reborn = make_service(path, seed=777)
     for name in accounts:
-        assert reborn.export_digest(name) == digests[name]
-    rebuilt = reborn.rebuild_reverse_index()
-    assert reborn.reverse_index() == rebuilt == index
+        token = reborn.issue_token(name, f"secret-{name}").token
+        assert reborn.export_with_digest(token)[1] == digests[name]
     _report(4, f"500 random mutations survive kill/restart: {len(accounts)} account "
-               "digests identical; reverse index equals from-scratch recomputation")
+               "digests identical")
 
 
 def test_criterion_5_end_to_end_propagation():

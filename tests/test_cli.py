@@ -194,8 +194,13 @@ def test_serve_subprocess_with_env_config(tmp_path):
     import subprocess
     import sys
 
+    import sbo
+
+    # the child imports the same sbo as this test, however pytest found it
+    package_root = str(Path(sbo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.update({
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")])),
         "SBO_LISTEN": "127.0.0.1:0",
         "SBO_PROVIDER_NAME": "sbo.env.example",
         "SBO_DATA_FILE": str(tmp_path / "env.jsonl"),

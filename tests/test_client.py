@@ -170,7 +170,8 @@ def test_union_across_providers(world):
     client = world.client([cfg("sbo.alpha.com", "ann"),
                            cfg("sbo.beta.com", "ann", rank=2)])
     blockset = client.refresh()
-    names = {(e.provider_host, e.block_list.name) for e in blockset.entries}
+    names = {(host, bl.name) for (host, _account), cached in blockset.accounts.items()
+             for bl in cached.block_lists}
     assert names == {("sbo.alpha.com", "Block List 1"), ("sbo.beta.com", "Beta List")}
 
 
@@ -180,7 +181,7 @@ def test_merge_idempotence_when_nothing_changed(world):
     first = client.refresh()
     world.advance(10)
     second = client.refresh()
-    assert first == second  # 304 path keeps entries, digests, fetched_at identical
+    assert first == second  # 304 path keeps lists, ETag and fetched_at identical
 
 
 def test_provider_down_keeps_stale_lists(world):
@@ -189,8 +190,7 @@ def test_provider_down_keeps_stale_lists(world):
     before = client.refresh()
     world.transports["sbo.alpha.com"].down = True
     after = client.refresh()
-    assert after.entries == before.entries
-    assert after.fetched_at == before.fetched_at
+    assert after.accounts == before.accounts  # same lists, ETag and fetched_at
     assert len(after.errors) == 1
     assert after.errors[0].provider_host == "sbo.alpha.com"
     assert client.is_blocked(MALLORY_PROFILE).blocked  # still enforcing, stale
@@ -211,7 +211,7 @@ def test_partial_failure_is_not_fatal(world):
     client = world.client([cfg("sbo.alpha.com", "ann"),
                            cfg("sbo.beta.com", "ann", rank=2)])
     blockset = client.refresh()
-    assert {e.provider_host for e in blockset.entries} == {"sbo.alpha.com"}
+    assert list(blockset.accounts) == [("sbo.alpha.com", "ann")]
     assert [f.provider_host for f in blockset.errors] == ["sbo.beta.com"]
 
 
@@ -219,15 +219,15 @@ def test_conditional_fetch_skips_unchanged_provider(world):
     world.seed("sbo.alpha.com", "ann")
     client = world.client([cfg("sbo.alpha.com", "ann")])
     first = client.refresh()
-    t_first = first.fetched_at[("sbo.alpha.com", "ann")]
+    t_first = first.accounts[("sbo.alpha.com", "ann")].fetched_at
     world.advance(60)
     second = client.refresh()
-    assert second.fetched_at[("sbo.alpha.com", "ann")] == t_first  # 304: untouched
+    assert second.accounts[("sbo.alpha.com", "ann")].fetched_at == t_first  # 304: untouched
     token = world.services["sbo.alpha.com"].issue_token("ann", "secret-ann").token
     world.services["sbo.alpha.com"].add_contact(token, "Block List 1", MALLORY)
     world.advance(60)
     third = client.refresh()
-    assert third.fetched_at[("sbo.alpha.com", "ann")] > t_first
+    assert third.accounts[("sbo.alpha.com", "ann")].fetched_at > t_first
 
 
 def test_brokered_fetch_paths(world):
@@ -406,4 +406,4 @@ def test_blockset_atomic_publish(world):
     client = world.client([cfg("sbo.alpha.com", "ann")])
     assert client.blockset == BlockSet()
     client.refresh()
-    assert len(client.blockset.entries) == 1
+    assert len(client.blockset.accounts[("sbo.alpha.com", "ann")].block_lists) == 1

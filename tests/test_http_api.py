@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import socket
 from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbo import http_api
 from sbo.crml import WireFormat, parse_crml
 from sbo.http_api import ProviderApi
+from sbo.identifiers import Strictness
 from sbo.restclient import ProviderRestClient
 from sbo.transport import ApiRequest, HttpTransport
 
@@ -174,3 +177,94 @@ def test_live_http_server_round_trip(tmp_path):
         server.shutdown()
         thread.join(timeout=5)
         service.close()
+
+
+# --- hostile input: every answer is a status below 500, errors carry {code, message} ---
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+_DEEP_RULE = "(" * 2000 + "Age EQUALS" + ")" * 2000
+
+# One well-formed value per field; each example breaks at most one of them.
+_VALID = {
+    "account_name": st.sampled_from(["bell", "eve"]),
+    "secret": st.just("x"),
+    "name": st.sampled_from(["M", "N"]),
+    "strictness": st.sampled_from([s.value for s in Strictness]),
+    "rule_text": st.sampled_from(["EmailId EQUALS", "Age GREATERTHAN 17 OR Username MATCHES"]),
+    "identifiers": st.sampled_from([
+        {"Username": "mallory", "Age": "18"}, {"Age": "old"},
+        {"ProfileImage": {"phash64": "00ff00ff00ff00ff"}, "Username": " Mallory "}]),
+}
+_INVALID = _ANY_JSON | st.sampled_from([
+    "", "FullName BOGUS", _DEEP_RULE, {"ShoeSize": "42"}, {"Age": 42},
+    {"ProfileImage": {"phash64": "zz"}}, {"ProfileImage": "00ff00ff00ff00ff"}])
+
+_LIST = "/v1/accounts/bell/blocklists/L"
+_ROUTES = {  # (method, path) -> the body fields the route reads
+    ("POST", "/v1/accounts"): ("account_name", "secret"),
+    ("POST", "/v1/tokens"): ("account_name", "secret"),
+    ("POST", "/v1/blocked-by"): ("identifiers",),
+    ("POST", "/v1/accounts/bell/blocklists"): ("name", "strictness", "rule_text"),
+    ("POST", f"{_LIST}/contacts"): ("identifiers",),
+    ("DELETE", f"{_LIST}/contacts/c-001"): (),
+    ("PUT", f"{_LIST}/rule"): ("rule_text",),
+    ("GET", "/v1/accounts/bell/crml?lists=L,nope"): (),
+    ("PATCH", "/v1/accounts/bell"): (),
+}
+
+_HOSTILE_BODIES = (b"[" * 100_000, b'{"secret": ' + b"9" * 5000 + b"}", b"\xff\xfe", b"")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_router_answers_any_body_with_a_well_formed_status(data):
+    service = make_service(pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM,
+                              "Age GREATERTHAN 17 OR Username MATCHES")
+    service.add_contact(token, "L", {"Username": "mallory", "Age": "30"})
+    method, path = data.draw(st.sampled_from(sorted(_ROUTES)))
+    fields = _ROUTES[(method, path)]
+    if data.draw(st.booleans()):
+        payload = {name: data.draw(_VALID[name]) for name in fields}
+        if fields:
+            payload[data.draw(st.sampled_from(fields))] = data.draw(_INVALID)
+        body = json.dumps(payload).encode()
+    else:
+        body = data.draw(st.sampled_from(_HOSTILE_BODIES) | st.binary(max_size=12)
+                         | _ANY_JSON.map(json.dumps).map(str.encode))
+    resp = ProviderApi(service).handle(
+        ApiRequest(method, path, {"Authorization": f"Bearer {token}"}, body))
+    assert resp.status < 500
+    if resp.status >= 400:
+        error = resp.json()
+        assert isinstance(error["code"], str) and isinstance(error["message"], str)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_gets_a_400_over_a_socket(length):
+    service = make_service()
+    server = http_api.serve(service, "127.0.0.1", 0)
+    thread = http_api.serve_forever_in_thread(server)
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(f"POST /v1/accounts HTTP/1.1\r\nHost: sbo\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            response = b""
+            while chunk := sock.recv(4096):  # the server closes after one response
+                response += chunk
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    error = json.loads(body)
+    assert error["code"] == "ValidationError" and error["message"]

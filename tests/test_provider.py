@@ -13,7 +13,7 @@ from sbo.errors import (
     UnauthorizedError,
     ValidationError,
 )
-from sbo.identifiers import Strictness
+from sbo.identifiers import IdentifierKind, Strictness
 from sbo.provider import ProviderService
 from sbo.rules import default_rule, render_rule
 
@@ -86,7 +86,6 @@ def test_add_contact_normalizes_and_counts(service):
     service.create_block_list(token, "L", Strictness.MEDIUM)
     first = service.add_contact(token, "L", {"EmailId": "John.Smith@Example.com"})
     assert first.contact_id == "c-001"
-    from sbo.identifiers import IdentifierKind
     assert first.identifiers[IdentifierKind.EMAIL_ID] == "john.smith@example.com"
     second = service.add_contact(token, "L", {"Username": "X"})
     assert second.contact_id == "c-002"
@@ -146,6 +145,13 @@ def test_export_matches_canonical_fixture(canonical_provider):
     assert serialize_crml(doc, WireFormat.OBJECT) == CANONICAL_EXPORT
 
 
+def test_canonical_etag_is_pinned(canonical_provider):
+    """Deployed apps hold this ETag; a change to the digest payload would cost them their 304s."""
+    service, _rest, token = canonical_provider
+    assert service.export_with_digest(token)[1] == \
+        "04969974d2627f6fa1a7d2cfef37aa6d7a2f1e70d68d4f5460d9476f24869fae"
+
+
 def test_export_unknown_list(canonical_provider):
     service, _rest, token = canonical_provider
     with pytest.raises(NotFoundError):
@@ -159,26 +165,26 @@ def test_export_subset_and_digest(service):
     service.create_block_list(token, "B", Strictness.MEDIUM)
     doc = service.export_crml(token, ["B"])
     assert [bl.name for bl in doc.block_lists] == ["B"]
-    assert service.export_digest("bell", ["B"]) != service.export_digest("bell")
+    assert service.export_with_digest(token, ["B"])[1] != service.export_with_digest(token)[1]
     # subset digest is stable under query order
-    service_digest = service.export_digest("bell", ["B", "A"])
-    assert service_digest == service.export_digest("bell", ["A", "B"])
+    service_digest = service.export_with_digest(token, ["B", "A"])[1]
+    assert service_digest == service.export_with_digest(token, ["A", "B"])[1]
 
 
 def test_every_mutation_changes_digest(service):
     service.create_account("bell", "x")
     token = service.issue_token("bell", "x").token
     service.create_block_list(token, "L", Strictness.MEDIUM)
-    seen = {service.export_digest("bell")}
+    seen = {service.export_with_digest(token)[1]}
     service.add_contact(token, "L", {"Username": "a"})
-    seen.add(service.export_digest("bell"))
+    seen.add(service.export_with_digest(token)[1])
     rule = "EmailId EQUALS"
     service.set_rule(token, "L", rule)
-    seen.add(service.export_digest("bell"))
+    seen.add(service.export_with_digest(token)[1])
     service.set_rule(token, "L", rule)  # content-identical mutation still counts
-    seen.add(service.export_digest("bell"))
+    seen.add(service.export_with_digest(token)[1])
     service.remove_contact(token, "L", "c-001")
-    seen.add(service.export_digest("bell"))
+    seen.add(service.export_with_digest(token)[1])
     assert len(seen) == 5
 
 
@@ -239,37 +245,26 @@ def test_blocked_by_rejects_unknown_kind(service):
         service.blocked_by({"ShoeSize": "42"})
 
 
-def test_reverse_index_matches_rebuild_after_random_mutations(tmp_path):
-    rng = Random(42)
-    service = make_service(tmp_path / "sbo.jsonl")
-    token = _seed_random_state(service, rng, mutations=200)
-    assert service.reverse_index() == service.rebuild_reverse_index()
-
-
 def test_durability_kill_and_restart(tmp_path):
     rng = Random(7)
     path = tmp_path / "sbo.jsonl"
     service = make_service(path, snapshot_every=40)
     _seed_random_state(service, rng, mutations=500)
     accounts = sorted(a for a in service._accounts)
-    digests_before = {a: service.export_digest(a) for a in accounts}
+    tokens = {a: service.issue_token(a, f"secret-{a}").token for a in accounts}
+    digests_before = {a: service.export_with_digest(tokens[a])[1] for a in accounts}
     exports_before = {
-        a: serialize_crml(
-            service.export_crml(service.issue_token(a, f"secret-{a}").token),
-            WireFormat.OBJECT)
+        a: serialize_crml(service.export_crml(tokens[a]), WireFormat.OBJECT)
         for a in accounts
     }
-    index_before = service.reverse_index()
     service.close()  # kill
 
     reborn = make_service(path, seed=99)
     for account in accounts:
-        assert reborn.export_digest(account) == digests_before[account]
         token = reborn.issue_token(account, f"secret-{account}").token
+        assert reborn.export_with_digest(token)[1] == digests_before[account]
         assert serialize_crml(reborn.export_crml(token), WireFormat.OBJECT) == \
             exports_before[account]
-    assert reborn.reverse_index() == index_before
-    assert reborn.reverse_index() == reborn.rebuild_reverse_index()
 
 
 def test_restart_tolerates_torn_final_write(tmp_path):
@@ -284,19 +279,15 @@ def test_restart_tolerates_torn_final_write(tmp_path):
     reborn = make_service(path)
     token = reborn.issue_token("bell", "x").token
     assert [bl.name for bl in reborn.export_crml(token).block_lists] == ["L"]
-
-
-def test_reverse_index_keeps_shared_values_on_removal(service):
-    service.create_account("bell", "x")
-    token = service.issue_token("bell", "x").token
-    service.create_block_list(token, "L", Strictness.MEDIUM)
-    service.add_contact(token, "L", {"Username": "shared", "EmailId": "a@b.c"})
-    service.add_contact(token, "L", {"Username": "shared"})
-    service.remove_contact(token, "L", "c-001")
-    index = service.reverse_index()
-    assert index[("Username", "shared")] == {("bell", "L")}  # still held by c-002
-    assert ("EmailId", "a@b.c") not in index  # only c-001 carried it
-    assert index == service.rebuild_reverse_index()
+    # writes acknowledged after the torn one must survive every later boot
+    for username in ("first", "second"):
+        reborn.add_contact(token, "L", {"Username": username})
+        reborn.close()
+        reborn = make_service(path)
+        token = reborn.issue_token("bell", "x").token
+    contacts = reborn.export_crml(token).block_lists[0].contacts
+    reborn.close()
+    assert [c.identifiers[IdentifierKind.USERNAME] for c in contacts] == ["first", "second"]
 
 
 def test_concurrent_exports_see_committed_snapshots_only(service):
@@ -331,7 +322,6 @@ def test_concurrent_exports_see_committed_snapshots_only(service):
     for t in threads:
         t.join(timeout=30)
     assert problems == []
-    assert service.reverse_index() == service.rebuild_reverse_index()
 
 
 def _seed_random_state(service: ProviderService, rng: Random, mutations: int) -> None:

@@ -140,6 +140,16 @@ def test_nested_parens_preserved():
     assert parse_rule(render_rule(ast)) == ast
 
 
+def test_nesting_depth_is_capped():
+    def nested(depth: int) -> str:
+        return "(" * depth + "Age EQUALS" + ")" * depth
+
+    assert parse_rule(nested(64)) == Predicate(K.AGE, Operator.EQUALS)
+    for depth in (65, 5000):  # 5000 is far past the interpreter's stack
+        with pytest.raises(ParseError):
+            parse_rule(nested(depth))
+
+
 def test_ast_invariants_enforced():
     with pytest.raises(ValueError):
         And((Predicate(K.EMAIL_ID, Operator.MATCHES),))
