@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .client import EnforcementClient, parse_refresh_policy
-from .crml import WireFormat, parse_crml, parse_identifier_map, serialize_crml
+from .crml import WireFormat, format_timestamp, parse_crml, parse_identifier_map, serialize_crml
 from .errors import SBOError, RestApiError
 from .identifiers import Profile, Strictness
 from .provider import ProviderService
@@ -80,7 +80,7 @@ def cmd_issue_token(args) -> int:
     issued = _rest(args).issue_token(args.account, args.secret)
     print(json.dumps({
         "token": issued.token,
-        "expires_at": issued.expires_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "expires_at": format_timestamp(issued.expires_at),
     }))
     return 0
 

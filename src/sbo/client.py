@@ -15,19 +15,22 @@ import enum
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .brokers import CredentialBroker
 from .crml import BlockListRecord
 from .errors import (
     BrokerUnavailable,
+    CRMLSyntaxError,
     EmptyBlockSetError,
     EvalError,
     FetchError,
     NoIntegrationAvailable,
     RestApiError,
+    RuleError,
+    SchemaError,
 )
-from .identifiers import Profile
+from .identifiers import ContactRecord, Profile
 from .provider import Clock, system_clock
 from .restclient import IssuedToken, ProviderRestClient
 from .rules import DEFAULT_THRESHOLDS, MatchResult, MatchThresholds, cached_parse_rule, evaluate_rule
@@ -251,9 +254,10 @@ class EnforcementClient:
     def fetch_block_set(self, previous: BlockSet | None = None) -> BlockSet:
         """Fetch every configured provider account and merge.
 
-        Per account: conditional fetch against the stored ETag; a failure
-        keeps the previous lists in place (staleness over gaps). Raises
-        EmptyBlockSetError only on total failure with no previous cache.
+        Per account: conditional fetch against the stored ETag; a failure, a
+        malformed document included, keeps the previous lists in place
+        (staleness over gaps). Raises EmptyBlockSetError only on total
+        failure with no previous cache.
         """
         groups: dict[tuple[str, str], list[IntegrationConfig]] = {}
         for config in self._configs:
@@ -268,8 +272,8 @@ class EnforcementClient:
                 config = resolve_integration(group, available)
                 self.last_fetch_methods[key] = config.method
                 doc, etag = self._get_crml(config, cached.etag if cached else None)
-            except (FetchError, RestApiError, NoIntegrationAvailable,
-                    BrokerUnavailable) as exc:
+            except (FetchError, RestApiError, NoIntegrationAvailable, BrokerUnavailable,
+                    CRMLSyntaxError, SchemaError, RuleError) as exc:
                 errors.append(FetchFailure(*key, str(exc)))
                 doc = None
             if doc is not None:
@@ -309,15 +313,14 @@ class EnforcementClient:
 
     # --- decisions ---
 
-    def is_blocked(self, profile: Profile, blockset: BlockSet | None = None) -> BlockDecision:
-        """Evaluate the profile against every contact of every cached list.
+    def evaluations(self, profile: Profile, blockset: BlockSet | None = None
+                    ) -> Iterator[tuple[str, str, BlockListRecord, ContactRecord,
+                                        MatchResult | EvalError]]:
+        """(host, account, list, contact, result) for every contact of every cached list.
 
-        A contact that raises EvalError is recorded and treated as a non-match;
-        one malformed contact must not disable the whole list.
+        The result is the EvalError the contact raised in place of its MatchResult.
         """
         current = blockset if blockset is not None else self.blockset
-        matches: list[MatchRecord] = []
-        eval_errors: list[EvalFailure] = []
         for (host, account), cached in current.accounts.items():
             for block_list in cached.block_lists:
                 ast = cached_parse_rule(block_list.rule_text)
@@ -326,12 +329,24 @@ class EnforcementClient:
                         result = evaluate_rule(ast, contact, profile,
                                                block_list.strictness, self.thresholds)
                     except EvalError as exc:
-                        eval_errors.append(EvalFailure(
-                            host, account, block_list.name, contact.contact_id, str(exc)))
-                        continue
-                    if result.matched:
-                        matches.append(MatchRecord(
-                            host, account, block_list.name, contact.contact_id, result))
+                        result = exc
+                    yield host, account, block_list, contact, result
+
+    def is_blocked(self, profile: Profile, blockset: BlockSet | None = None) -> BlockDecision:
+        """Evaluate the profile against every contact of every cached list.
+
+        A contact that raises EvalError is recorded and treated as a non-match;
+        one malformed contact must not disable the whole list.
+        """
+        matches: list[MatchRecord] = []
+        eval_errors: list[EvalFailure] = []
+        for host, account, block_list, contact, result in self.evaluations(profile, blockset):
+            if isinstance(result, EvalError):
+                eval_errors.append(EvalFailure(
+                    host, account, block_list.name, contact.contact_id, str(result)))
+            elif result.matched:
+                matches.append(MatchRecord(
+                    host, account, block_list.name, contact.contact_id, result))
         return BlockDecision(bool(matches), tuple(matches), tuple(eval_errors))
 
     def on_blocked_user_login(self, identifiers: dict,

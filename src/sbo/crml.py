@@ -1,9 +1,11 @@
 """Contact Rule Markup Language: document model and its two wire encodings.
 
 One schema, two encodings. The object format is JSON; the markup format uses
-tags whose names equal the object-format keys (no attributes). Both parse
-into the same document model and share one validator, and serialization is
-deterministic: a given document always yields byte-identical text.
+tags whose names equal the object-format keys (no attributes): an object is
+its keys as child elements, a list is a container of items tagged by
+_ITEM_TAGS, and a string is element text. Both parse into the same document
+model and share one validator, and serialization is deterministic: a given
+document always yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -32,12 +34,25 @@ CRML_VERSION = "1.0"
 _DOC_KEYS = ("crml_version", "provider", "account", "issued_at", "block_lists")
 _LIST_KEYS = ("name", "strictness", "rule_text", "contacts")
 _CONTACT_KEYS = ("contact_id", "identifiers")
-_ISSUED_AT_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
 
 
 class WireFormat(str, enum.Enum):
     OBJECT = "object"
     MARKUP = "markup"
+
+
+def format_timestamp(at: datetime) -> str:
+    """The wire form of a UTC instant at seconds precision, e.g. 2025-01-01T00:00:00Z."""
+    return at.strftime(_TIMESTAMP_FORMAT)
+
+
+def parse_timestamp(text: str) -> datetime:
+    """Inverse of format_timestamp; raises ValueError on any other shape."""
+    if not _TIMESTAMP_RE.fullmatch(text):
+        raise ValueError(f"expected UTC seconds precision, got {text!r}")
+    return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,7 @@ def _doc_to_raw(doc: CRMLDocument) -> dict:
         "crml_version": doc.crml_version,
         "provider": doc.provider,
         "account": doc.account,
-        "issued_at": doc.issued_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "issued_at": format_timestamp(doc.issued_at),
         "block_lists": [
             {
                 "name": bl.name,
@@ -198,11 +213,8 @@ def _raw_to_doc(raw: object) -> CRMLDocument:
     version = _require_str(raw["crml_version"], "crml_version")
     if version != CRML_VERSION:
         raise SchemaError(f"unsupported crml_version {version!r}")
-    issued_raw = _require_str(raw["issued_at"], "issued_at")
-    if not _ISSUED_AT_RE.fullmatch(issued_raw):
-        raise SchemaError(f"issued_at must be UTC seconds precision, got {issued_raw!r}")
     try:
-        issued_at = datetime.strptime(issued_raw, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+        issued_at = parse_timestamp(_require_str(raw["issued_at"], "issued_at"))
     except ValueError as exc:
         raise SchemaError(f"bad issued_at: {exc}") from exc
     if not isinstance(raw["block_lists"], list):
@@ -273,6 +285,8 @@ def _parse_object(text: str) -> object:
         return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise CRMLSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting; integers over 4,300 digits
+        raise CRMLSyntaxError(f"unreadable document: {exc}") from exc
 
 
 def _serialize_object(raw: dict) -> str:
@@ -282,144 +296,61 @@ def _serialize_object(raw: dict) -> str:
 # --- markup format (tags named after the object-format keys) ---
 
 _ITEM_TAGS = {"block_lists": "block_list", "contacts": "contact"}
+# crml > block_lists > block_list > contacts > contact > identifiers > ProfileImage > phash64
+_MAX_DEPTH = 8
 
 
-def _set_text(element: ET.Element, value: str) -> None:
-    if value:
+def _raw_to_element(tag: str, value: dict | list | str) -> ET.Element:
+    element = ET.Element(tag)
+    if isinstance(value, dict):
+        element.extend(_raw_to_element(key, child) for key, child in value.items())
+    elif isinstance(value, list):
+        element.extend(_raw_to_element(_ITEM_TAGS[tag], item) for item in value)
+    elif value:
         element.text = value
+    return element
 
 
-def _raw_to_element(raw: dict) -> ET.Element:
-    root = ET.Element("crml")
-    for key in ("crml_version", "provider", "account", "issued_at"):
-        _set_text(ET.SubElement(root, key), raw[key])
-    lists_el = ET.SubElement(root, "block_lists")
-    for raw_list in raw["block_lists"]:
-        list_el = ET.SubElement(lists_el, _ITEM_TAGS["block_lists"])
-        for key in ("name", "strictness", "rule_text"):
-            _set_text(ET.SubElement(list_el, key), raw_list[key])
-        contacts_el = ET.SubElement(list_el, "contacts")
-        for raw_contact in raw_list["contacts"]:
-            contact_el = ET.SubElement(contacts_el, _ITEM_TAGS["contacts"])
-            _set_text(ET.SubElement(contact_el, "contact_id"), raw_contact["contact_id"])
-            ids_el = ET.SubElement(contact_el, "identifiers")
-            for kind_name, value in raw_contact["identifiers"].items():
-                value_el = ET.SubElement(ids_el, kind_name)
-                if isinstance(value, dict):
-                    _set_text(ET.SubElement(value_el, "phash64"), value["phash64"])
-                else:
-                    _set_text(value_el, value)
-    return root
-
-
-def _element_children(element: ET.Element, path: str) -> list[ET.Element]:
+def _element_to_raw(element: ET.Element, path: str, depth: int = 1) -> dict | list | str:
+    """Inverse of _raw_to_element; which fields must be present is _raw_to_doc's check."""
+    if depth > _MAX_DEPTH:
+        raise SchemaError(f"nesting deeper than the schema at {path}")
     if element.attrib:
         raise SchemaError(f"attributes are not part of the schema at {path}")
-    if element.text and element.text.strip():
+    item_tag = _ITEM_TAGS.get(element.tag)
+    if item_tag is None and not len(element):
+        return element.text or ""
+    if (element.text or "").strip() or any((child.tail or "").strip() for child in element):
         raise SchemaError(f"unexpected text content at {path}")
-    for child in element:
-        if child.tail and child.tail.strip():
-            raise SchemaError(f"unexpected text content at {path}")
-    return list(element)
-
-
-def _scalar_text(element: ET.Element, path: str) -> str:
-    if element.attrib:
-        raise SchemaError(f"attributes are not part of the schema at {path}")
-    if len(element):
-        raise SchemaError(f"unexpected children at {path}")
-    return element.text or ""
-
-
-def _fields_from_children(element: ET.Element, path: str) -> dict:
-    """Collect child elements as a field map, rejecting duplicate tags."""
+    if item_tag is not None:
+        items = []
+        for i, child in enumerate(element):
+            if child.tag != item_tag:
+                raise SchemaError(f"unknown field {child.tag!r} at {path}[{i}]")
+            items.append(_element_to_raw(child, f"{path}[{i}]", depth + 1))
+        return items
     fields: dict = {}
-    for child in _element_children(element, path):
+    for child in element:
         if child.tag in fields:
             raise SchemaError(f"duplicate field {child.tag!r} at {path}")
         fields[child.tag] = child
-    return fields
+    return {tag: _element_to_raw(child, tag if depth == 1 else f"{path}.{tag}", depth + 1)
+            for tag, child in fields.items()}
 
 
-def _element_to_raw(root: ET.Element) -> dict:
-    if root.tag != "crml":
-        raise SchemaError(f"expected root tag 'crml', got {root.tag!r}")
-    fields = _fields_from_children(root, "document")
-    raw: dict = {}
-    for key in ("crml_version", "provider", "account", "issued_at"):
-        if key in fields:
-            raw[key] = _scalar_text(fields.pop(key), key)
-    raw_lists: list = []
-    if "block_lists" in fields:
-        lists_el = fields.pop("block_lists")
-        for i, list_el in enumerate(_element_children(lists_el, "block_lists")):
-            list_path = f"block_lists[{i}]"
-            if list_el.tag != _ITEM_TAGS["block_lists"]:
-                raise SchemaError(f"unknown field {list_el.tag!r} at {list_path}")
-            list_fields = _fields_from_children(list_el, list_path)
-            raw_list: dict = {}
-            for key in ("name", "strictness", "rule_text"):
-                if key in list_fields:
-                    raw_list[key] = _scalar_text(list_fields.pop(key), f"{list_path}.{key}")
-            if "contacts" in list_fields:
-                contacts_el = list_fields.pop("contacts")
-                raw_contacts: list = []
-                for j, contact_el in enumerate(
-                        _element_children(contacts_el, f"{list_path}.contacts")):
-                    contact_path = f"{list_path}.contacts[{j}]"
-                    if contact_el.tag != _ITEM_TAGS["contacts"]:
-                        raise SchemaError(f"unknown field {contact_el.tag!r} at {contact_path}")
-                    contact_fields = _fields_from_children(contact_el, contact_path)
-                    raw_contact: dict = {}
-                    if "contact_id" in contact_fields:
-                        raw_contact["contact_id"] = _scalar_text(
-                            contact_fields.pop("contact_id"), f"{contact_path}.contact_id")
-                    if "identifiers" in contact_fields:
-                        ids_el = contact_fields.pop("identifiers")
-                        ids_raw: dict = {}
-                        ids_path = f"{contact_path}.identifiers"
-                        for value_el in _element_children(ids_el, ids_path):
-                            if value_el.tag in ids_raw:
-                                raise SchemaError(
-                                    f"duplicate field {value_el.tag!r} at {ids_path}")
-                            if len(value_el):
-                                nested = _fields_from_children(
-                                    value_el, f"{ids_path}.{value_el.tag}")
-                                ids_raw[value_el.tag] = {
-                                    tag: _scalar_text(el, f"{ids_path}.{value_el.tag}.{tag}")
-                                    for tag, el in nested.items()
-                                }
-                            else:
-                                ids_raw[value_el.tag] = _scalar_text(
-                                    value_el, f"{ids_path}.{value_el.tag}")
-                        raw_contact["identifiers"] = ids_raw
-                    if contact_fields:
-                        tag = next(iter(contact_fields))
-                        raise SchemaError(f"unknown field {tag!r} at {contact_path}")
-                    raw_contacts.append(raw_contact)
-                raw_list["contacts"] = raw_contacts
-            if list_fields:
-                tag = next(iter(list_fields))
-                raise SchemaError(f"unknown field {tag!r} at {list_path}")
-            raw_lists.append(raw_list)
-        raw["block_lists"] = raw_lists
-    if fields:
-        tag = next(iter(fields))
-        raise SchemaError(f"unknown field {tag!r} at document")
-    return raw
-
-
-def _parse_markup(text: str) -> dict:
+def _parse_markup(text: str) -> object:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, column = exc.position
         raise CRMLSyntaxError(str(exc), line=line, column=column) from exc
-    return _element_to_raw(root)
+    if root.tag != "crml":
+        raise SchemaError(f"expected root tag 'crml', got {root.tag!r}")
+    return _element_to_raw(root, "document")
 
 
 def _serialize_markup(raw: dict) -> str:
-    return ET.tostring(_raw_to_element(raw), encoding="unicode")
+    return ET.tostring(_raw_to_element("crml", raw), encoding="unicode")
 
 
 # --- public entry points ---

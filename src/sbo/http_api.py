@@ -12,7 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .crml import WireFormat, encode_identifier_map, serialize_crml
+from .crml import WireFormat, encode_identifier_map, format_timestamp, serialize_crml
 from .errors import (
     NotFoundError,
     RuleError,
@@ -75,7 +75,7 @@ class ProviderApi:
                 self._field(body, "account_name"), self._field(body, "secret"))
             return _ok(200, {
                 "token": grant.token,
-                "expires_at": grant.expires_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "expires_at": format_timestamp(grant.expires_at),
             })
 
         if rest == ["blocked-by"] and method == "POST":

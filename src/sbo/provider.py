@@ -26,7 +26,9 @@ from .crml import (
     CRMLDocument,
     CRML_VERSION,
     encode_identifier_map,
+    format_timestamp,
     parse_identifier_map,
+    parse_timestamp,
 )
 from .errors import (
     ConflictError,
@@ -157,8 +159,11 @@ class ProviderService:
             candidate = self._hash_secret(secret, account.salt, account.iterations)
             if not hmac.compare_digest(candidate, account.credential_hash):
                 raise UnauthorizedError("unknown account or bad secret")
+            now = self._clock()
+            # drop expired grants here, or a token never presented again stays forever
+            self._tokens = {t: grant for t, grant in self._tokens.items() if now < grant[1]}
             token = self._random_token()
-            expires_at = self._clock() + timedelta(seconds=self.token_ttl_seconds)
+            expires_at = now + timedelta(seconds=self.token_ttl_seconds)
             self._tokens[token] = (account_name, expires_at)
             return TokenGrant(token, account_name, expires_at)
 
@@ -318,7 +323,7 @@ class ProviderService:
         if kind == "create_block_list":
             lists[record["name"]] = _StoredList(
                 name=record["name"], strictness=Strictness(record["strictness"]),
-                rule_text=record["rule_text"], updated_at=_parse_iso(record["at"]))
+                rule_text=record["rule_text"], updated_at=parse_timestamp(record["at"]))
             return
         stored = lists[record["list"]]
         if kind == "add_contact":
@@ -334,7 +339,7 @@ class ProviderService:
         else:
             raise ValueError(f"unknown log record kind {kind!r}")
         stored.revision += 1
-        stored.updated_at = _parse_iso(record["at"])
+        stored.updated_at = parse_timestamp(record["at"])
 
     # --- persistence ---
 
@@ -369,7 +374,7 @@ class ProviderService:
                     "iterations": a.iterations,
                     "lists": [
                         {**self._raw_list(s),
-                         "updated_at": s.updated_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                         "updated_at": format_timestamp(s.updated_at),
                          "next_contact_seq": s.next_contact_seq}
                         for s in a.lists.values()
                     ],
@@ -392,7 +397,7 @@ class ProviderService:
                     name=raw_list["name"],
                     strictness=Strictness(raw_list["strictness"]),
                     rule_text=raw_list["rule_text"],
-                    updated_at=_parse_iso(raw_list["updated_at"]),
+                    updated_at=parse_timestamp(raw_list["updated_at"]),
                     contacts={
                         c["contact_id"]: ContactRecord(
                             c["contact_id"], parse_identifier_map(c["identifiers"]))
@@ -495,8 +500,4 @@ class ProviderService:
         return self._random_bytes(16).hex()
 
     def _now_iso(self) -> str:
-        return self._clock().strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _parse_iso(text: str) -> datetime:
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+        return format_timestamp(self._clock())

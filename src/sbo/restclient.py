@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from urllib.parse import quote
 
-from .crml import CRMLDocument, WireFormat, parse_crml
-from .errors import RestApiError
+from .crml import CRMLDocument, WireFormat, parse_crml, parse_timestamp
+from .errors import CRMLSyntaxError, RestApiError
 from .transport import ApiRequest, ApiResponse, Transport
 
 _JSON = {"Content-Type": "application/json"}
@@ -30,8 +30,7 @@ class ProviderRestClient:
 
     def issue_token(self, account_name: str, secret: str) -> IssuedToken:
         body = self._post("/v1/tokens", {"account_name": account_name, "secret": secret})
-        expires = datetime.strptime(body["expires_at"], "%Y-%m-%dT%H:%M:%SZ")
-        return IssuedToken(body["token"], expires.replace(tzinfo=timezone.utc))
+        return IssuedToken(body["token"], parse_timestamp(body["expires_at"]))
 
     def create_block_list(self, token: str, account: str, name: str, strictness: str,
                           rule_text: str | None = None) -> dict:
@@ -72,7 +71,10 @@ class ProviderRestClient:
         if resp.status == 304:
             return None, etag
         self._check(resp)
-        return resp.body.decode("utf-8"), etag
+        try:
+            return resp.body.decode("utf-8"), etag
+        except UnicodeDecodeError as exc:
+            raise CRMLSyntaxError(f"CRML body is not UTF-8 at byte {exc.start}") from exc
 
     def get_crml(self, token: str, account: str, lists: list[str] | None = None,
                  if_none_match: str | None = None) -> tuple[CRMLDocument | None, str]:

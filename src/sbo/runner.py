@@ -17,7 +17,6 @@ from .http_api import ProviderApi
 from .identifiers import Profile
 from .provider import ProviderService
 from .restclient import IssuedToken, ProviderRestClient
-from .rules import cached_parse_rule, evaluate_rule
 from .scenario import AppSpec, Event, Scenario, load_integration_config, load_scenario
 from .transport import InProcessTransport, SwitchableTransport
 
@@ -178,25 +177,19 @@ class _Runner:
     def _explain(self, app: _App, profile: Profile) -> list[dict]:
         """Full predicate traces for every cached contact (attached on failures)."""
         explained = []
-        for (host, account), cached in app.client.blockset.accounts.items():
-            for block_list in cached.block_lists:
-                ast = cached_parse_rule(block_list.rule_text)
-                for contact in block_list.contacts:
-                    row = {
-                        "provider": host,
-                        "account": account,
-                        "list": block_list.name,
-                        "contact_id": contact.contact_id,
-                    }
-                    try:
-                        result = evaluate_rule(ast, contact, profile, block_list.strictness,
-                                               app.client.thresholds)
-                    except EvalError as exc:
-                        row["error"] = str(exc)
-                    else:
-                        row["matched"] = result.matched
-                        row["trace"] = [o.as_dict() for o in result.trace]
-                    explained.append(row)
+        for host, account, block_list, contact, result in app.client.evaluations(profile):
+            row = {
+                "provider": host,
+                "account": account,
+                "list": block_list.name,
+                "contact_id": contact.contact_id,
+            }
+            if isinstance(result, EvalError):
+                row["error"] = str(result)
+            else:
+                row["matched"] = result.matched
+                row["trace"] = [o.as_dict() for o in result.trace]
+            explained.append(row)
         return explained
 
     def _methods_map(self, app: _App) -> dict[str, str]:

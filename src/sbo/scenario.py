@@ -66,7 +66,6 @@ class SeedAccount:
 @dataclass(frozen=True)
 class SeedProvider:
     host: str
-    port: int | None
     token_ttl_seconds: int
     accounts: tuple[SeedAccount, ...]
 
@@ -162,7 +161,6 @@ def _load_providers(raw: object) -> tuple[tuple[SeedProvider, ...], dict]:
         if host in seen_hosts:
             raise _fail(f"duplicate provider host {host!r}", path)
         seen_hosts.add(host)
-        port = raw_provider.get("port")
         ttl = int(raw_provider.get("token_ttl_seconds", 3600))
         accounts: list[SeedAccount] = []
         seen_accounts: set[str] = set()
@@ -200,7 +198,7 @@ def _load_providers(raw: object) -> tuple[tuple[SeedProvider, ...], dict]:
                 )
                 lists.append(SeedList(list_name, strictness, rule_text, contacts))
             accounts.append(SeedAccount(name, secret, tuple(lists)))
-        providers.append(SeedProvider(host, port, ttl, tuple(accounts)))
+        providers.append(SeedProvider(host, ttl, tuple(accounts)))
     return tuple(providers), secrets
 
 

@@ -23,7 +23,7 @@ from sbo.errors import EmptyBlockSetError, NoIntegrationAvailable
 from sbo.http_api import ProviderApi
 from sbo.identifiers import IdentifierKind as K, Profile, Strictness
 from sbo.provider import ProviderService
-from sbo.transport import InProcessTransport, SwitchableTransport
+from sbo.transport import ApiResponse, InProcessTransport, SwitchableTransport
 
 D = IntegrationMethod.DIRECT
 SSO = IntegrationMethod.SSO_DELEGATED
@@ -213,6 +213,40 @@ def test_partial_failure_is_not_fatal(world):
     blockset = client.refresh()
     assert list(blockset.accounts) == [("sbo.alpha.com", "ann")]
     assert [f.provider_host for f in blockset.errors] == ["sbo.beta.com"]
+
+
+class BadCrmlBody:
+    """Replaces the body of every 200 answer to GET .../crml once ``bad`` is set."""
+
+    def __init__(self, inner, body: bytes):
+        self.inner, self.body, self.bad = inner, body, False
+
+    def request(self, req):
+        resp = self.inner.request(req)
+        if self.bad and resp.status == 200 and req.path.split("?")[0].endswith("/crml"):
+            return ApiResponse(200, resp.headers, self.body)
+        return resp
+
+
+@pytest.mark.parametrize("body", [b'{"crml_version": "1.0"', b'{"crml_version": "\xff"}',
+                                  b"[" * 100_000], ids=["truncated", "not-utf8", "deep"])
+def test_malformed_document_fails_only_its_account(world, body):
+    world.seed("sbo.alpha.com", "ann", contacts=[MALLORY])
+    token = world.seed("sbo.beta.com", "bob", "Beta List")
+    bad = BadCrmlBody(world.transports["sbo.beta.com"], body)
+    configs = [cfg("sbo.alpha.com", "ann"), cfg("sbo.beta.com", "bob", rank=2)]
+    client = world.client(configs, transports={**world.transports, "sbo.beta.com": bad})
+    first = client.refresh()
+    world.services["sbo.beta.com"].add_contact(token, "Beta List", MALLORY)  # next GET is a 200
+    bad.bad = True
+    second = client.refresh()
+    assert second.accounts == first.accounts  # the bad account's cached record carried forward
+    assert [(f.provider_host, f.account) for f in second.errors] == [("sbo.beta.com", "bob")]
+    fresh = world.client(configs, transports={**world.transports, "sbo.beta.com": bad})
+    blockset = fresh.refresh()
+    assert list(blockset.accounts) == [("sbo.alpha.com", "ann")]
+    assert [(f.provider_host, f.account) for f in blockset.errors] == [("sbo.beta.com", "bob")]
+    assert fresh.is_blocked(MALLORY_PROFILE).blocked
 
 
 def test_conditional_fetch_skips_unchanged_provider(world):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import json
+import re
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -73,6 +76,33 @@ def test_golden_minimal_object():
 def test_golden_minimal_markup():
     assert serialize_crml(minimal_doc(), WireFormat.MARKUP) == \
         (GOLDEN / "minimal.crml.xml").read_text()
+
+
+def contacts_doc() -> CRMLDocument:
+    return CRMLDocument(
+        crml_version="1.0",
+        provider="sbo.aws.com",
+        account="alexandergrahambell",
+        issued_at=datetime(2025, 1, 1, tzinfo=timezone.utc),
+        block_lists=(
+            BlockListRecord(
+                "Block List 1", Strictness.MEDIUM,
+                "EmailId EQUALS OR (Username MATCHES AND ProfileImage MATCHES)",
+                (ContactRecord("c-001", {K.EMAIL_ID: "mallory@example.com",
+                                         K.USERNAME: "mallory",
+                                         K.PROFILE_IMAGE: ImageHash(0xDEADBEEF)}),
+                 ContactRecord("c-002", {K.FULL_NAME: "Eve <E> & Co",
+                                         K.BIODATA: 'likes "quotes"'}))),
+            BlockListRecord("Empty", Strictness.STRICT, "ProfileImage EQUALS", ()),
+        ),
+    )
+
+
+def test_golden_contacts_markup():
+    """Every level of the markup, down to phash64, pinned byte for byte."""
+    golden = (GOLDEN / "contacts.crml.xml").read_text()
+    assert serialize_crml(contacts_doc(), WireFormat.MARKUP) == golden
+    assert parse_crml(golden, WireFormat.MARKUP) == contacts_doc()
 
 
 def test_markup_tags_equal_object_keys(canonical_doc):
@@ -253,6 +283,10 @@ def test_markup_rejects_attributes_and_unknown_tags(canonical_doc):
     root.append(root.find("provider"))  # duplicated scalar element
     with pytest.raises(SchemaError):
         parse_crml(ET.tostring(root, encoding="unicode"), WireFormat.MARKUP)
+    root = ET.fromstring(text)
+    root.find("block_lists/block_list").tag = "contact"  # item tag of another container
+    with pytest.raises(SchemaError):
+        parse_crml(ET.tostring(root, encoding="unicode"), WireFormat.MARKUP)
 
 
 def test_markup_escapes_special_characters():
@@ -285,6 +319,86 @@ def test_wire_hash_case_is_normalized():
     doc = parse_crml(text, WireFormat.OBJECT)
     out = serialize_crml(doc, WireFormat.OBJECT)
     assert '"phash64":"00000000deadbeef"' in out
+
+
+_SCHEMA_TAGS = ("crml", "crml_version", "provider", "account", "issued_at", "block_lists",
+                "block_list", "name", "strictness", "rule_text", "contacts", "contact",
+                "contact_id", "identifiers", "EmailId", "ProfileImage", "phash64", "surprise")
+
+
+def mutate_markup(text: str, rng: Random) -> str:
+    """One to three random structural or textual edits of a markup document."""
+    for _ in range(rng.randint(1, 3)):
+        root = ET.fromstring(text)
+        parents = {child: parent for parent in root.iter() for child in parent}
+        elements = list(root.iter())
+        target = rng.choice(elements)
+        op = rng.randrange(10)
+        if op == 0 and target in parents:
+            parents[target].remove(target)
+        elif op == 1 and target in parents:
+            parents[target].append(copy.deepcopy(target))
+        elif op == 2:
+            target.tag = rng.choice(_SCHEMA_TAGS)
+        elif op == 3:
+            target.set(rng.choice(_SCHEMA_TAGS), "1")
+        elif op == 4:
+            target.text = rng.choice(["", " ", "\n  ", "x", "00000000deadbeef", "1.0"])
+        elif op == 5 and target in parents:
+            target.tail = rng.choice([" ", "\n", "x"])
+        elif op == 6:
+            for _ in range(rng.randint(1, 12)):
+                target = ET.SubElement(target, rng.choice(_SCHEMA_TAGS))
+        elif op == 7:
+            target[:] = []
+        elif op == 8:
+            moved = rng.choice(elements)
+            if moved in parents and moved is not target and moved not in target.iter() \
+                    and target not in moved.iter():
+                parents[moved].remove(moved)
+                target.append(moved)
+        else:
+            text = ET.tostring(root, encoding="unicode")
+            at = rng.randrange(len(text))
+            return text[:at] + rng.choice(["", "<", ">", "/", "&", "<a>", "</a>"]) \
+                + text[at + rng.randint(0, 3):]
+        text = ET.tostring(root, encoding="unicode")
+    return text
+
+
+def test_mutated_markup_parses_or_raises_a_crml_error(rng, canonical_doc):
+    """A mutated document either decodes to what its object form decodes to, or is refused."""
+    parsed = refused = 0
+    for _ in range(1500):
+        doc = rng.choice([canonical_doc, contacts_doc(), random_document(rng)])
+        text = mutate_markup(serialize_crml(doc, WireFormat.MARKUP), rng)
+        try:
+            got = parse_crml(text, WireFormat.MARKUP)
+        except (CRMLSyntaxError, SchemaError, RuleError):
+            refused += 1
+            continue
+        parsed += 1
+        assert parse_crml(serialize_crml(got, WireFormat.OBJECT), WireFormat.OBJECT) == got
+        assert parse_crml(serialize_crml(got, WireFormat.MARKUP), WireFormat.MARKUP) == got
+    assert parsed > 100 and refused > 100
+
+
+@pytest.mark.parametrize("prefix", [
+    "<crml>",
+    "<crml><block_lists><block_list><contacts><contact><identifiers><ProfileImage><phash64>",
+])
+def test_markup_nested_beyond_the_schema_is_a_schema_error(prefix):
+    text = prefix + "<phash64>" * 5000 + "</phash64>" * 5000
+    text += "".join(f"</{tag}>" for tag in reversed(re.findall(r"<(\w+)>", prefix)))
+    with pytest.raises(SchemaError):
+        parse_crml(text, WireFormat.MARKUP)
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"crml_version":' + "1" * 5000 + "}"],
+                         ids=["deep", "long-integer"])
+def test_unreadable_object_text_is_a_syntax_error(text):
+    with pytest.raises(CRMLSyntaxError):
+        parse_crml(text, WireFormat.OBJECT)
 
 
 def test_markup_rejects_stray_text(canonical_doc):

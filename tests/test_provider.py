@@ -56,6 +56,17 @@ def test_token_expiry():
         service.create_block_list(token, "L2", Strictness.MEDIUM)
 
 
+def test_token_table_drops_expired_grants():
+    current = {"now": FIXED_TIME}
+    service = make_service(clock=lambda: current["now"], token_ttl_seconds=60,
+                           pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    for _ in range(500):
+        service.issue_token("bell", "x")
+        current["now"] += timedelta(seconds=10)
+    assert len(service._tokens) <= 7  # the 6 unexpired grants, and no more than one stale
+
+
 def test_create_block_list_fills_default_rule(service):
     service.create_account("bell", "x")
     token = service.issue_token("bell", "x").token

@@ -163,6 +163,23 @@ def test_unsatisfiable_expectation_fails_with_trace():
     assert any(not step["verdict"] for step in trace_row["trace"])
 
 
+def test_failure_trace_reports_eval_errors():
+    scenario = minimal_scenario(events=[
+        {"at": 0, "type": "set_rule", "provider": "sbo.aws.com", "account": "ann",
+         "list": "L", "rule_text": "Age GREATERTHAN 18"},
+        {"at": 0, "type": "block_contact", "provider": "sbo.aws.com",
+         "account": "ann", "list": "L", "identifiers": {"Age": "30"}},
+        {"at": 1, "type": "profile_appears", "app": "app",
+         "profile": {"profile_id": "p", "identifiers": {"Age": "ancient"}},
+         "expect": {"blocked": True}},
+    ])
+    report = run_scenario(scenario)
+    assert not report.passed
+    [row] = report.events[2]["trace"]
+    assert row["contact_id"] == "c-001"
+    assert "error" in row and "trace" not in row and "matched" not in row
+
+
 def test_pixel_identifiers_become_hashes():
     grid = [[0] * 8, [255] * 8] * 4
     scenario = minimal_scenario()
