@@ -66,6 +66,7 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         service.close()
     return 0
 

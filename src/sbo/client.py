@@ -21,14 +21,12 @@ from .brokers import CredentialBroker
 from .crml import BlockListRecord
 from .errors import (
     BrokerUnavailable,
-    CRMLSyntaxError,
     EmptyBlockSetError,
     EvalError,
     FetchError,
     NoIntegrationAvailable,
     RestApiError,
-    RuleError,
-    SchemaError,
+    SBOError,
 )
 from .identifiers import ContactRecord, Profile
 from .provider import Clock, system_clock
@@ -236,10 +234,6 @@ class EnforcementClient:
         self._configs = [c for c in self._configs
                          if (c.provider_host, c.account_name) != (provider_host, account_name)]
 
-    @property
-    def configs(self) -> tuple[IntegrationConfig, ...]:
-        return tuple(self._configs)
-
     def available_methods(self) -> set[IntegrationMethod]:
         """Direct/login-time are self-contained; delegated methods need a live broker."""
         methods = {IntegrationMethod.DIRECT, IntegrationMethod.LOGIN_TIME_PROVIDED}
@@ -272,8 +266,7 @@ class EnforcementClient:
                 config = resolve_integration(group, available)
                 self.last_fetch_methods[key] = config.method
                 doc, etag = self._get_crml(config, cached.etag if cached else None)
-            except (FetchError, RestApiError, NoIntegrationAvailable, BrokerUnavailable,
-                    CRMLSyntaxError, SchemaError, RuleError) as exc:
+            except SBOError as exc:
                 errors.append(FetchFailure(*key, str(exc)))
                 doc = None
             if doc is not None:
@@ -306,10 +299,6 @@ class EnforcementClient:
     def blockset(self) -> BlockSet:
         with self._lock:
             return self._blockset if self._blockset is not None else BlockSet()
-
-    @property
-    def refreshed_at(self) -> datetime | None:
-        return self._refreshed_at
 
     # --- decisions ---
 
@@ -360,13 +349,9 @@ class EnforcementClient:
         blockers: list[tuple[str, str, str]] = []
         errors: list[tuple[str, str]] = []
         for host in hosts:
-            transport = self._transports.get(host)
-            if transport is None:
-                errors.append((host, "no transport configured"))
-                continue
             try:
-                answers = ProviderRestClient(transport).blocked_by(identifiers)
-            except (FetchError, RestApiError) as exc:
+                answers = ProviderRestClient(self._transport_for(host)).blocked_by(identifiers)
+            except SBOError as exc:
                 errors.append((host, str(exc)))
                 continue
             blockers.extend((host, account, list_name) for account, list_name in answers)

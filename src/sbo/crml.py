@@ -133,27 +133,29 @@ def validate_document(doc: CRMLDocument) -> list[Violation]:
 
 # --- shared raw tree: the object-format shape, used by both encodings ---
 
+def encode_contact(contact: ContactRecord) -> dict:
+    """Wire shape of a contact; the inverse of decode_contact."""
+    return {"contact_id": contact.contact_id,
+            "identifiers": encode_identifier_map(contact.identifiers)}
+
+
+def encode_block_list(block_list: BlockListRecord) -> dict:
+    """Wire shape of a block list; the inverse of decode_block_list."""
+    return {
+        "name": block_list.name,
+        "strictness": block_list.strictness.value,
+        "rule_text": block_list.rule_text,
+        "contacts": [encode_contact(c) for c in block_list.contacts],
+    }
+
+
 def _doc_to_raw(doc: CRMLDocument) -> dict:
     return {
         "crml_version": doc.crml_version,
         "provider": doc.provider,
         "account": doc.account,
         "issued_at": format_timestamp(doc.issued_at),
-        "block_lists": [
-            {
-                "name": bl.name,
-                "strictness": bl.strictness.value,
-                "rule_text": bl.rule_text,
-                "contacts": [
-                    {
-                        "contact_id": c.contact_id,
-                        "identifiers": encode_identifier_map(c.identifiers),
-                    }
-                    for c in bl.contacts
-                ],
-            }
-            for bl in doc.block_lists
-        ],
+        "block_lists": [encode_block_list(bl) for bl in doc.block_lists],
     }
 
 
@@ -206,6 +208,39 @@ def encode_identifier_map(identifiers: IdentifierMap) -> dict:
     }
 
 
+def decode_contact(raw: object, path: str) -> ContactRecord:
+    """Decode a wire-shaped contact, naming path in errors."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"expected an object at {path}")
+    _require_keys(raw, _CONTACT_KEYS, path)
+    return ContactRecord(
+        contact_id=_require_str(raw["contact_id"], f"{path}.contact_id"),
+        identifiers=parse_identifier_map(raw["identifiers"], f"{path}.identifiers"),
+    )
+
+
+def decode_block_list(raw: object, path: str) -> BlockListRecord:
+    """Decode a wire-shaped block list (rule grammar unchecked), naming path in errors."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"expected an object at {path}")
+    _require_keys(raw, _LIST_KEYS, path)
+    strictness_raw = _require_str(raw["strictness"], f"{path}.strictness")
+    try:
+        strictness = Strictness(strictness_raw)
+    except ValueError:
+        raise SchemaError(f"unknown strictness {strictness_raw!r} at {path}") from None
+    if not isinstance(raw["contacts"], list):
+        raise SchemaError(f"expected a list at {path}.contacts")
+    contacts = tuple(decode_contact(c, f"{path}.contacts[{j}]")
+                     for j, c in enumerate(raw["contacts"]))
+    return BlockListRecord(
+        name=_require_str(raw["name"], f"{path}.name"),
+        strictness=strictness,
+        rule_text=_require_str(raw["rule_text"], f"{path}.rule_text"),
+        contacts=contacts,
+    )
+
+
 def _raw_to_doc(raw: object) -> CRMLDocument:
     if not isinstance(raw, dict):
         raise SchemaError("document must be an object")
@@ -219,49 +254,21 @@ def _raw_to_doc(raw: object) -> CRMLDocument:
         raise SchemaError(f"bad issued_at: {exc}") from exc
     if not isinstance(raw["block_lists"], list):
         raise SchemaError("expected a list at block_lists")
-    block_lists = []
-    for i, raw_list in enumerate(raw["block_lists"]):
-        list_path = f"block_lists[{i}]"
-        if not isinstance(raw_list, dict):
-            raise SchemaError(f"expected an object at {list_path}")
-        _require_keys(raw_list, _LIST_KEYS, list_path)
-        strictness_raw = _require_str(raw_list["strictness"], f"{list_path}.strictness")
-        try:
-            strictness = Strictness(strictness_raw)
-        except ValueError:
-            raise SchemaError(f"unknown strictness {strictness_raw!r} at {list_path}") from None
-        if not isinstance(raw_list["contacts"], list):
-            raise SchemaError(f"expected a list at {list_path}.contacts")
-        contacts = []
-        for j, raw_contact in enumerate(raw_list["contacts"]):
-            contact_path = f"{list_path}.contacts[{j}]"
-            if not isinstance(raw_contact, dict):
-                raise SchemaError(f"expected an object at {contact_path}")
-            _require_keys(raw_contact, _CONTACT_KEYS, contact_path)
-            contacts.append(ContactRecord(
-                contact_id=_require_str(raw_contact["contact_id"], f"{contact_path}.contact_id"),
-                identifiers=parse_identifier_map(
-                    raw_contact["identifiers"], f"{contact_path}.identifiers"),
-            ))
-        block_lists.append(BlockListRecord(
-            name=_require_str(raw_list["name"], f"{list_path}.name"),
-            strictness=strictness,
-            rule_text=_require_str(raw_list["rule_text"], f"{list_path}.rule_text"),
-            contacts=tuple(contacts),
-        ))
+    block_lists = tuple(decode_block_list(raw_list, f"block_lists[{i}]")
+                        for i, raw_list in enumerate(raw["block_lists"]))
     doc = CRMLDocument(
         crml_version=version,
         provider=_require_str(raw["provider"], "provider"),
         account=_require_str(raw["account"], "account"),
         issued_at=issued_at,
-        block_lists=tuple(block_lists),
+        block_lists=block_lists,
     )
     violations = validate_document(doc)
     rule_violations = [v for v in violations if v.code == "BadRuleText"]
     others = [v for v in violations if v.code != "BadRuleText"]
     if others:
         details = "; ".join(f"{v.code} at {v.path}" for v in others)
-        raise SchemaError(f"invalid document: {details}", violations=tuple(others))
+        raise SchemaError(f"invalid document: {details}")
     if rule_violations:
         index = int(rule_violations[0].path.split("[")[1].split("]")[0])
         name = doc.block_lists[index].name

@@ -22,10 +22,6 @@ class CRMLSyntaxError(SBOError):
 class SchemaError(SBOError):
     """The document shape violates the CRML schema or a document invariant."""
 
-    def __init__(self, message: str, *, violations: tuple = ()):
-        super().__init__(message)
-        self.violations = violations
-
 
 class RuleError(SBOError):
     """A block list carries rule text that fails the rule grammar."""

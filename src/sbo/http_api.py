@@ -8,11 +8,12 @@ below the routing table.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .crml import WireFormat, encode_identifier_map, format_timestamp, serialize_crml
+from .crml import WireFormat, encode_block_list, encode_contact, format_timestamp, serialize_crml
 from .errors import (
     NotFoundError,
     RuleError,
@@ -98,9 +99,7 @@ class ProviderApi:
                 record = self.service.create_block_list(
                     token, self._field(body, "name"), strictness,
                     self._field(body, "rule_text", required=False), account_name=account)
-                return _ok(201, {"name": record.name,
-                                 "strictness": record.strictness.value,
-                                 "rule_text": record.rule_text, "contacts": []})
+                return _ok(201, encode_block_list(record))
 
             if len(rest) == 5 and rest[2] == "blocklists" and rest[4] == "contacts" \
                     and method == "POST":
@@ -110,8 +109,7 @@ class ProviderApi:
                     raise ValidationError("body must carry an identifiers object")
                 contact = self.service.add_contact(
                     token, rest[3], identifiers, account_name=account)
-                return _ok(201, {"contact_id": contact.contact_id,
-                                 "identifiers": encode_identifier_map(contact.identifiers)})
+                return _ok(201, encode_contact(contact))
 
             if len(rest) == 6 and rest[2] == "blocklists" and rest[4] == "contacts" \
                     and method == "DELETE":
@@ -173,18 +171,23 @@ class ProviderApi:
         return header[len("Bearer "):]
 
 
+_MAX_BODY = 1 << 20  # bytes; no request of this API comes near it
+
+
 class _Handler(BaseHTTPRequestHandler):
     api: ProviderApi  # set by serve()
+    timeout = 30  # seconds a connection may stall mid-request before it is closed
 
     def _dispatch(self) -> None:
         length = (self.headers.get("Content-Length") or "0").strip()
-        if length.isascii() and length.isdigit():
+        # 7 digits hold the cap and keep int() far from its 4,300-digit limit
+        if re.fullmatch(r"[0-9]{1,7}", length) and int(length) <= _MAX_BODY:
             body = self.rfile.read(int(length))
             resp = self.api.handle(
                 ApiRequest(self.command, self.path, dict(self.headers.items()), body))
         else:
             resp = _ok(400, ValidationError(
-                "Content-Length must be a non-negative integer").to_wire())
+                f"Content-Length must be an integer from 0 to {_MAX_BODY}").to_wire())
         self.send_response(resp.status)
         for key, value in resp.headers.items():
             self.send_header(key, value)

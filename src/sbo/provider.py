@@ -25,7 +25,9 @@ from .crml import (
     BlockListRecord,
     CRMLDocument,
     CRML_VERSION,
-    encode_identifier_map,
+    decode_block_list,
+    encode_block_list,
+    encode_contact,
     format_timestamp,
     parse_identifier_map,
     parse_timestamp,
@@ -167,11 +169,6 @@ class ProviderService:
             self._tokens[token] = (account_name, expires_at)
             return TokenGrant(token, account_name, expires_at)
 
-    def authorize(self, token: str, account_name: str | None = None) -> str:
-        """Resolve a bearer token to its account name, enforcing scope and expiry."""
-        with self._lock:
-            return self._authorize(token, account_name).name
-
     def _authorize(self, token: str, account_name: str | None = None) -> _Account:
         entry = self._tokens.get(token)
         if entry is None:
@@ -214,13 +211,12 @@ class ProviderService:
             if not normalized:
                 raise ValidationError("at least one identifier is required",
                                       path="identifiers")
-            contact_id = f"c-{stored.next_contact_seq:03d}"
+            contact = ContactRecord(f"c-{stored.next_contact_seq:03d}", normalized)
             self._commit({
                 "kind": "add_contact", "at": self._now_iso(), "account": account.name,
-                "list": list_name, "contact_id": contact_id,
-                "identifiers": encode_identifier_map(normalized),
+                "list": list_name, **encode_contact(contact),
             })
-            return ContactRecord(contact_id, normalized)
+            return contact
 
     def remove_contact(self, token: str, list_name: str, contact_id: str,
                        account_name: str | None = None) -> None:
@@ -262,10 +258,12 @@ class ProviderService:
             account = self._authorize(token, account_name)
             selected = self._select_lists(account, list_names)
             block_lists = tuple(self._wire_list(s) for s in selected)
-            raw_lists = [self._raw_list(s) for s in selected]
+            revisions = [s.revision for s in selected]
             issued_at = self._clock()
         payload = json.dumps({
-            "provider": self.provider_name, "account": account.name, "lists": raw_lists,
+            "provider": self.provider_name, "account": account.name,
+            "lists": [{**encode_block_list(bl), "revision": r}
+                      for bl, r in zip(block_lists, revisions)],
         }, separators=(",", ":"), sort_keys=True)
         doc = CRMLDocument(CRML_VERSION, self.provider_name, account.name, issued_at,
                            block_lists)
@@ -373,7 +371,7 @@ class ProviderService:
                     "credential_hash": a.credential_hash.hex(),
                     "iterations": a.iterations,
                     "lists": [
-                        {**self._raw_list(s),
+                        {**encode_block_list(self._wire_list(s)), "revision": s.revision,
                          "updated_at": format_timestamp(s.updated_at),
                          "next_contact_seq": s.next_contact_seq}
                         for s in a.lists.values()
@@ -392,20 +390,14 @@ class ProviderService:
                 iterations=raw_account["iterations"],
             )
             self._accounts[account.name] = account
-            for raw_list in raw_account["lists"]:
-                account.lists[raw_list["name"]] = _StoredList(
-                    name=raw_list["name"],
-                    strictness=Strictness(raw_list["strictness"]),
-                    rule_text=raw_list["rule_text"],
-                    updated_at=parse_timestamp(raw_list["updated_at"]),
-                    contacts={
-                        c["contact_id"]: ContactRecord(
-                            c["contact_id"], parse_identifier_map(c["identifiers"]))
-                        for c in raw_list["contacts"]
-                    },
-                    revision=raw_list["revision"],
-                    next_contact_seq=raw_list["next_contact_seq"],
-                )
+            for j, raw_list in enumerate(raw_account["lists"]):
+                revision = raw_list.pop("revision")
+                updated_at = parse_timestamp(raw_list.pop("updated_at"))
+                next_contact_seq = raw_list.pop("next_contact_seq")
+                record = decode_block_list(raw_list, f"{account.name}.lists[{j}]")
+                account.lists[record.name] = _StoredList(
+                    record.name, record.strictness, record.rule_text, updated_at,
+                    {c.contact_id: c for c in record.contacts}, revision, next_contact_seq)
 
     def _load(self) -> None:
         assert self._data_path is not None
@@ -475,17 +467,6 @@ class ProviderService:
             contacts=tuple(ContactRecord(c.contact_id, dict(c.identifiers))
                            for c in stored.contacts.values()),
         )
-
-    @staticmethod
-    def _raw_list(stored: _StoredList) -> dict:
-        """A list in wire shape; both the ETag payload and the snapshot are built from it."""
-        return {
-            "name": stored.name, "strictness": stored.strictness.value,
-            "rule_text": stored.rule_text, "revision": stored.revision,
-            "contacts": [{"contact_id": c.contact_id,
-                          "identifiers": encode_identifier_map(c.identifiers)}
-                         for c in stored.contacts.values()],
-        }
 
     @staticmethod
     def _hash_secret(secret: str, salt: bytes, iterations: int) -> bytes:

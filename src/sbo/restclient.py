@@ -8,7 +8,7 @@ from datetime import datetime
 from urllib.parse import quote
 
 from .crml import CRMLDocument, WireFormat, parse_crml, parse_timestamp
-from .errors import CRMLSyntaxError, RestApiError
+from .errors import CRMLSyntaxError, FetchError, RestApiError
 from .transport import ApiRequest, ApiResponse, Transport
 
 _JSON = {"Content-Type": "application/json"}
@@ -26,11 +26,15 @@ class ProviderRestClient:
 
     def create_account(self, account_name: str, secret: str) -> str:
         body = self._post("/v1/accounts", {"account_name": account_name, "secret": secret})
-        return body["account_name"]
+        return self._strings(body, "account_name")[0]
 
     def issue_token(self, account_name: str, secret: str) -> IssuedToken:
         body = self._post("/v1/tokens", {"account_name": account_name, "secret": secret})
-        return IssuedToken(body["token"], parse_timestamp(body["expires_at"]))
+        token, expires_at = self._strings(body, "token", "expires_at")
+        try:
+            return IssuedToken(token, parse_timestamp(expires_at))
+        except ValueError as exc:
+            raise FetchError(f"malformed provider answer: bad expires_at: {exc}") from exc
 
     def create_block_list(self, token: str, account: str, name: str, strictness: str,
                           rule_text: str | None = None) -> dict:
@@ -84,8 +88,10 @@ class ProviderRestClient:
         return parse_crml(text, WireFormat.OBJECT), etag
 
     def blocked_by(self, identifiers: dict) -> list[tuple[str, str]]:
-        body = self._post("/v1/blocked-by", {"identifiers": identifiers})
-        return [(entry["account"], entry["list"]) for entry in body["blockers"]]
+        blockers = self._post("/v1/blocked-by", {"identifiers": identifiers}).get("blockers")
+        if not isinstance(blockers, list):
+            raise FetchError("malformed provider answer: expected a 'blockers' list")
+        return [tuple(self._strings(entry, "account", "list")) for entry in blockers]
 
     # --- plumbing ---
 
@@ -100,7 +106,7 @@ class ProviderRestClient:
         self._check(resp)
         if resp.status == 204 or not resp.body:
             return None
-        return resp.json()
+        return self._json_object(resp)
 
     def _raw(self, method: str, path: str, headers: dict, body: bytes,
              token: str | None = None) -> ApiResponse:
@@ -109,12 +115,30 @@ class ProviderRestClient:
         return self.transport.request(ApiRequest(method, path, headers, body))
 
     @staticmethod
-    def _check(resp: ApiResponse) -> None:
+    def _json_object(resp: ApiResponse) -> dict:
+        """The answer's body as a JSON object; anything else is a FetchError."""
+        try:
+            body = resp.json()
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 too
+            raise FetchError(f"malformed provider answer: not JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise FetchError("malformed provider answer: not a JSON object")
+        return body
+
+    @staticmethod
+    def _strings(body: object, *names: str) -> list[str]:
+        """The named fields of an answer object, each required to be a string."""
+        if not isinstance(body, dict) or not all(isinstance(body.get(n), str) for n in names):
+            raise FetchError(f"malformed provider answer: expected string fields {names}")
+        return [body[n] for n in names]
+
+    @classmethod
+    def _check(cls, resp: ApiResponse) -> None:
         if resp.status < 400:
             return
         try:
-            payload = resp.json()
-        except (ValueError, UnicodeDecodeError):
+            payload = cls._json_object(resp)
+        except FetchError:
             payload = {}
         raise RestApiError(
             payload.get("code", "HttpError"),

@@ -7,6 +7,7 @@ runs deterministic.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -75,7 +76,7 @@ class HttpTransport:
         except urllib.error.HTTPError as exc:
             # 4xx/5xx and 304 still carry a meaningful response
             return ApiResponse(exc.code, dict(exc.headers.items()), exc.read())
-        except OSError as exc:
+        except (OSError, http.client.HTTPException) as exc:  # the latter: a garbled answer
             raise FetchError(f"{req.method} {url}: {exc}") from exc
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from random import Random
 
 import pytest
 
+from sbo import http_api
 from sbo.crml import WireFormat, parse_crml
 from sbo.http_api import ProviderApi
 from sbo.provider import ProviderService
@@ -49,6 +51,20 @@ def make_service(data_path=None, clock=fixed_clock, seed=1, **kwargs) -> Provide
 
 def rest_for(service: ProviderService) -> ProviderRestClient:
     return ProviderRestClient(InProcessTransport(ProviderApi(service)))
+
+
+@contextmanager
+def serving(service: ProviderService):
+    """Serve on a free loopback port; on exit close the server, its socket and the service."""
+    server = http_api.serve(service, "127.0.0.1", 0)
+    thread = http_api.serve_forever_in_thread(server)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
 
 
 @pytest.fixture

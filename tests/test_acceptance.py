@@ -121,6 +121,7 @@ def test_criterion_4_provider_durability(tmp_path):
     for name in accounts:
         token = reborn.issue_token(name, f"secret-{name}").token
         assert reborn.export_with_digest(token)[1] == digests[name]
+    reborn.close()
     _report(4, f"500 random mutations survive kill/restart: {len(accounts)} account "
                "digests identical")
 
@@ -180,4 +181,5 @@ def test_full_provider_export_is_stable_across_restart(tmp_path):
     reborn = make_service(path)
     token = reborn.issue_token("bell", "pw").token
     after = serialize_crml(reborn.export_crml(token), WireFormat.OBJECT)
+    reborn.close()
     assert after == before

@@ -5,25 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from sbo import http_api
 from sbo.cli import main
 from sbo.crml import WireFormat, parse_crml
 
-from .conftest import CANONICAL_RULE, make_service
+from .conftest import CANONICAL_RULE, make_service, serving
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 @pytest.fixture
 def live_provider(tmp_path):
-    service = make_service(tmp_path / "cli.jsonl")
-    server = http_api.serve(service, "127.0.0.1", 0)
-    thread = http_api.serve_forever_in_thread(server)
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    thread.join(timeout=5)
-    service.close()
+    with serving(make_service(tmp_path / "cli.jsonl")) as server:
+        host, port = server.server_address
+        yield f"http://{host}:{port}"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -225,3 +219,4 @@ def test_serve_subprocess_with_env_config(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

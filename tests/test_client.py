@@ -215,15 +215,15 @@ def test_partial_failure_is_not_fatal(world):
     assert [f.provider_host for f in blockset.errors] == ["sbo.beta.com"]
 
 
-class BadCrmlBody:
-    """Replaces the body of every 200 answer to GET .../crml once ``bad`` is set."""
+class BadAnswer:
+    """Replaces the body of every 200 answer to paths ending in ``route`` once ``bad`` is set."""
 
-    def __init__(self, inner, body: bytes):
-        self.inner, self.body, self.bad = inner, body, False
+    def __init__(self, inner, body: bytes, route: str = "/crml"):
+        self.inner, self.body, self.route, self.bad = inner, body, route, False
 
     def request(self, req):
         resp = self.inner.request(req)
-        if self.bad and resp.status == 200 and req.path.split("?")[0].endswith("/crml"):
+        if self.bad and resp.status == 200 and req.path.split("?")[0].endswith(self.route):
             return ApiResponse(200, resp.headers, self.body)
         return resp
 
@@ -233,7 +233,7 @@ class BadCrmlBody:
 def test_malformed_document_fails_only_its_account(world, body):
     world.seed("sbo.alpha.com", "ann", contacts=[MALLORY])
     token = world.seed("sbo.beta.com", "bob", "Beta List")
-    bad = BadCrmlBody(world.transports["sbo.beta.com"], body)
+    bad = BadAnswer(world.transports["sbo.beta.com"], body)
     configs = [cfg("sbo.alpha.com", "ann"), cfg("sbo.beta.com", "bob", rank=2)]
     client = world.client(configs, transports={**world.transports, "sbo.beta.com": bad})
     first = client.refresh()
@@ -247,6 +247,31 @@ def test_malformed_document_fails_only_its_account(world, body):
     assert list(blockset.accounts) == [("sbo.alpha.com", "ann")]
     assert [(f.provider_host, f.account) for f in blockset.errors] == [("sbo.beta.com", "bob")]
     assert fresh.is_blocked(MALLORY_PROFILE).blocked
+
+
+@pytest.mark.parametrize("route, body", [
+    ("/v1/tokens", b"not json"), ("/v1/tokens", b"{}"),
+    ("/v1/tokens", b'{"token": "t", "expires_at": "yesterday"}'),
+    ("/v1/blocked-by", b"{}"), ("/v1/blocked-by", b"[]"),
+    ("/v1/blocked-by", b'{"blockers": [1]}'),
+])
+def test_malformed_answer_fails_only_its_provider(world, route, body):
+    world.seed("sbo.alpha.com", "ann", contacts=[MALLORY])
+    world.seed("sbo.beta.com", "bob", "Beta List", contacts=[MALLORY])
+    bad = BadAnswer(world.transports["sbo.beta.com"], body, route)
+    bad.bad = True
+    client = world.client([cfg("sbo.alpha.com", "ann"), cfg("sbo.beta.com", "bob", rank=2)],
+                          transports={**world.transports, "sbo.beta.com": bad})
+    blockset = client.refresh()
+    report = client.on_blocked_user_login(MALLORY)
+    assert ("sbo.alpha.com", "ann") in blockset.accounts
+    assert ("sbo.alpha.com", "ann", "Block List 1") in report.blockers
+    failed = ([(f.provider_host, f.account) for f in blockset.errors],
+              [host for host, _ in report.errors])
+    if route == "/v1/tokens":
+        assert failed == ([("sbo.beta.com", "bob")], [])
+    else:
+        assert failed == ([], ["sbo.beta.com"])
 
 
 def test_conditional_fetch_skips_unchanged_provider(world):

@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbo import http_api
 from sbo.crml import WireFormat, parse_crml
+from sbo.errors import FetchError
 from sbo.http_api import ProviderApi
 from sbo.identifiers import Strictness
 from sbo.restclient import ProviderRestClient
 from sbo.transport import ApiRequest, HttpTransport
 
-from .conftest import CANONICAL_RULE, make_service
+from .conftest import CANONICAL_RULE, make_service, serving
 
 
 @pytest.fixture
@@ -158,10 +160,7 @@ def test_blocked_by_endpoint(canonical_provider):
 
 
 def test_live_http_server_round_trip(tmp_path):
-    service = make_service(tmp_path / "live.jsonl")
-    server = http_api.serve(service, "127.0.0.1", 0)
-    thread = http_api.serve_forever_in_thread(server)
-    try:
+    with serving(make_service(tmp_path / "live.jsonl")) as server:
         host, port = server.server_address
         rest = ProviderRestClient(HttpTransport(f"http://{host}:{port}"))
         rest.create_account("bell", "x")
@@ -173,10 +172,6 @@ def test_live_http_server_round_trip(tmp_path):
         cached, second_etag = rest.get_crml(token, "bell", if_none_match=etag)
         assert cached is None and second_etag == etag
         assert rest.blocked_by({"Username": "mallory"}) == []  # rule needs 2 clauses
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        service.close()
 
 
 # --- hostile input: every answer is a status below 500, errors carry {code, message} ---
@@ -247,24 +242,53 @@ def test_router_answers_any_body_with_a_well_formed_status(data):
         assert isinstance(error["code"], str) and isinstance(error["message"], str)
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"])
+def _exchange(server, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    return response
+
+
+# a claim over the 1 MiB cap is refused unread, with no body sent at all
+@pytest.mark.parametrize("length", ["abc", "-5", str(100_000_000),
+                                    pytest.param("9" * 5000, id="5000-digits")])
 def test_bad_content_length_gets_a_400_over_a_socket(length):
-    service = make_service()
-    server = http_api.serve(service, "127.0.0.1", 0)
-    thread = http_api.serve_forever_in_thread(server)
-    try:
-        with socket.create_connection(server.server_address, timeout=5) as sock:
-            sock.sendall(f"POST /v1/accounts HTTP/1.1\r\nHost: sbo\r\n"
-                         f"Content-Length: {length}\r\n\r\n".encode())
-            response = b""
-            while chunk := sock.recv(4096):  # the server closes after one response
-                response += chunk
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        service.close()
+    with serving(make_service()) as server:
+        response = _exchange(server, f"POST /v1/accounts HTTP/1.1\r\nHost: sbo\r\n"
+                                     f"Content-Length: {length}\r\n\r\n".encode())
     head, _, body = response.partition(b"\r\n\r\n")
     assert head.split()[1] == b"400"
     error = json.loads(body)
     assert error["code"] == "ValidationError" and error["message"]
+
+
+def test_stalled_request_body_gets_its_connection_closed():
+    with serving(make_service()) as server:
+        assert 0 < server.RequestHandlerClass.timeout <= 60  # served with a finite timeout
+        server.RequestHandlerClass.timeout = 0.5  # the bound class only; _Handler keeps its own
+        started = time.monotonic()
+        response = _exchange(server, b"POST /v1/accounts HTTP/1.1\r\nHost: sbo\r\n"
+                                     b"Content-Length: 10\r\n\r\n{\"a\"")
+    assert response == b""  # closed without an answer, well before the client's 5 s
+    assert time.monotonic() - started < 4
+
+
+def test_garbled_http_answer_is_a_fetch_error():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_garbage():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b"garbage\r\n\r\n")
+
+        thread = threading.Thread(target=answer_garbage)
+        thread.start()
+        host, port = listener.getsockname()
+        with pytest.raises(FetchError):
+            HttpTransport(f"http://{host}:{port}", timeout=5).request(
+                ApiRequest("GET", "/v1/accounts/a/crml"))
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -276,6 +276,7 @@ def test_durability_kill_and_restart(tmp_path):
         assert reborn.export_with_digest(token)[1] == digests_before[account]
         assert serialize_crml(reborn.export_crml(token), WireFormat.OBJECT) == \
             exports_before[account]
+    reborn.close()
 
 
 def test_restart_tolerates_torn_final_write(tmp_path):
