@@ -12,15 +12,15 @@ import os
 import sys
 from pathlib import Path
 
-from .client import EnforcementClient, parse_refresh_policy
-from .crml import WireFormat, format_timestamp, parse_crml, parse_identifier_map, serialize_crml
-from .errors import SBOError, RestApiError
-from .identifiers import Profile, Strictness
+from .client import EnforcementClient
+from .crml import WireFormat, format_timestamp, parse_crml, serialize_crml
+from .errors import SBOError, RestApiError, ScenarioError
+from .identifiers import Strictness
 from .provider import ProviderService
 from .restclient import ProviderRestClient
-from .rules import MatchThresholds
 from .runner import run_scenario
-from .scenario import load_integration_config, normalize_scenario_identifiers
+from .scenario import (load_app, load_identifiers, load_json, load_profile, load_thresholds,
+                       read_field)
 from .transport import HttpTransport
 from . import http_api
 
@@ -33,22 +33,19 @@ def _rest(args) -> ProviderRestClient:
     return ProviderRestClient(HttpTransport(args.provider))
 
 
-def _read_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _identifiers_from_file(path: str) -> dict:
-    raw = _read_json(path)
-    if "identifiers" in raw and isinstance(raw["identifiers"], dict):
-        raw = raw["identifiers"]
-    return normalize_scenario_identifiers(raw, "identifiers")
+def _read_profile_file(path: str) -> dict:
+    """A profile file, {"profile_id"?, "identifiers"}; a bare identifier map is its identifiers."""
+    raw = load_json(path)
+    return raw if isinstance(raw, dict) and "identifiers" in raw else {"identifiers": raw}
 
 
 def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
-    thresholds = MatchThresholds()
-    if args.thresholds:
-        thresholds = MatchThresholds.from_dict(json.loads(args.thresholds))
+    if not (port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535):
+        raise ScenarioError(f"--listen must be host:port with a port up to 65535, "
+                            f"not {args.listen!r}")
+    thresholds = load_thresholds(load_json("--thresholds", args.thresholds or "{}"),
+                                 "thresholds")
     service = ProviderService(
         args.provider_name,
         data_path=args.data_file,
@@ -95,7 +92,7 @@ def cmd_create_list(args) -> int:
 
 
 def cmd_add_contact(args) -> int:
-    identifiers = _identifiers_from_file(args.file)
+    identifiers = load_identifiers(_read_profile_file(args.file), "file")
     created = _rest(args).add_contact(args.token, args.account, args.list, identifiers)
     print(json.dumps(created))
     return 0
@@ -118,7 +115,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_blocked_by(args) -> int:
-    identifiers = _identifiers_from_file(args.file)
+    identifiers = load_identifiers(_read_profile_file(args.file), "file")
     blockers = _rest(args).blocked_by(identifiers)
     print(json.dumps({"blockers": [
         {"account": account, "list": list_name} for account, list_name in blockers
@@ -127,30 +124,23 @@ def cmd_blocked_by(args) -> int:
 
 
 def cmd_check_profile(args) -> int:
-    config = _read_json(args.config)
+    config = load_json(args.config)
     transports = {}
-    for entry in config.get("providers", []):
-        base_url = entry.get("base_url") or f"http://{entry['provider_host']}"
-        transports[entry["provider_host"]] = HttpTransport(base_url)
-    integrations = [
-        load_integration_config(entry, f"providers[{i}]")
-        for i, entry in enumerate(config.get("providers", []))
-    ]
-    thresholds = MatchThresholds.from_dict(config.get("thresholds", {}))
+    for i, entry in enumerate(read_field(config, "providers", list, "config", [])):
+        host = read_field(entry, "provider_host", str, f"config.providers[{i}]")
+        base_url = read_field(entry, "base_url", str, f"config.providers[{i}]", "")
+        transports[host] = HttpTransport(base_url or f"http://{host}")
+    app = load_app(config, "config", "check-profile", "providers", set(transports))
     client = EnforcementClient(
-        integrations,
+        app.integrations,
         transports=transports,
-        credentials=config.get("credentials", {}),
-        refresh_policy=parse_refresh_policy(
-            config.get("refresh_policy", {"type": "Manual"})),
-        thresholds=thresholds,
+        credentials=app.credentials,
+        refresh_policy=app.refresh_policy,
+        thresholds=load_thresholds(read_field(config, "thresholds", dict, "config", {}),
+                                   "config.thresholds"),
     )
+    profile = load_profile(_read_profile_file(args.file), "file")
     client.refresh()
-    raw_profile = _read_json(args.file)
-    identifiers = normalize_scenario_identifiers(
-        raw_profile.get("identifiers", raw_profile), "identifiers")
-    profile = Profile(raw_profile.get("profile_id", "profile"),
-                      parse_identifier_map(identifiers))
     decision = client.is_blocked(profile)
     print("BLOCKED" if decision.blocked else "NOT BLOCKED")
     print(json.dumps({
@@ -194,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="provider host name stamped into exports (env SBO_PROVIDER_NAME)")
     serve.add_argument("--data-file", default=_env("SBO_DATA_FILE"),
                        help="append-only log path; omit for ephemeral state (env SBO_DATA_FILE)")
-    serve.add_argument("--token-ttl", type=int,
-                       default=int(_env("SBO_TOKEN_TTL", "3600") or 3600),
+    serve.add_argument("--token-ttl", type=int, default=_env("SBO_TOKEN_TTL") or "3600",
                        help="bearer token lifetime in seconds (env SBO_TOKEN_TTL)")
     serve.add_argument("--thresholds", default=_env("SBO_THRESHOLDS"),
                        help='JSON thresholds override, e.g. {"text":{"Strict":0.95}}'

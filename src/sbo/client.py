@@ -18,6 +18,7 @@ from datetime import datetime
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .brokers import CredentialBroker
+from .clock import Clock, system_clock
 from .crml import BlockListRecord
 from .errors import (
     BrokerUnavailable,
@@ -29,7 +30,6 @@ from .errors import (
     SBOError,
 )
 from .identifiers import ContactRecord, Profile
-from .provider import Clock, system_clock
 from .restclient import IssuedToken, ProviderRestClient
 from .rules import DEFAULT_THRESHOLDS, MatchResult, MatchThresholds, cached_parse_rule, evaluate_rule
 from .transport import Transport
@@ -82,19 +82,6 @@ class Manual:
 
 
 RefreshPolicy = Periodic | OnLogin | PerRequest | Manual
-
-
-def parse_refresh_policy(raw: dict) -> RefreshPolicy:
-    kind = raw.get("type")
-    if kind == "Periodic":
-        return Periodic(float(raw["interval_seconds"]))
-    if kind == "OnLogin":
-        return OnLogin()
-    if kind == "PerRequest":
-        return PerRequest()
-    if kind == "Manual":
-        return Manual()
-    raise ValueError(f"unknown refresh policy type {kind!r}")
 
 
 class Trigger(str, enum.Enum):
@@ -260,11 +247,12 @@ class EnforcementClient:
         now = self._clock()
         accounts: dict[tuple[str, str], CachedAccount] = {}
         errors: list[FetchFailure] = []
+        methods: dict[tuple[str, str], IntegrationMethod] = {}
         for key, group in groups.items():
             cached = previous.accounts.get(key) if previous is not None else None
             try:
                 config = resolve_integration(group, available)
-                self.last_fetch_methods[key] = config.method
+                methods[key] = config.method
                 doc, etag = self._get_crml(config, cached.etag if cached else None)
             except SBOError as exc:
                 errors.append(FetchFailure(*key, str(exc)))
@@ -273,6 +261,7 @@ class EnforcementClient:
                 accounts[key] = CachedAccount(doc.block_lists, etag, now)
             elif cached is not None:  # not modified, or failed: keep what we had
                 accounts[key] = cached
+        self.last_fetch_methods = methods
         if groups and len(errors) == len(groups) and previous is None:
             raise EmptyBlockSetError(
                 "every provider fetch failed and no previous block set exists: "

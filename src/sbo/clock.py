@@ -1,13 +1,21 @@
-"""Simulated clock for deterministic scenario runs.
+"""Clocks: the system clock, and a simulated one for deterministic scenario runs.
 
-The clock never sleeps; the scenario runner advances it through the event
-timeline, and everything downstream (token expiry, issued_at stamps,
-refresh arithmetic) reads time through it.
+Everything that reads time (token expiry, issued_at stamps, refresh
+arithmetic) takes a ``Clock``. The simulated clock never sleeps; the
+scenario runner advances it through the event timeline.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from typing import Callable
+
+Clock = Callable[[], datetime]
+
+
+def system_clock() -> datetime:
+    return datetime.now(timezone.utc)
+
 
 SCENARIO_EPOCH = datetime(2025, 1, 1, tzinfo=timezone.utc)
 

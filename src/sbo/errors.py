@@ -121,7 +121,10 @@ class RestApiError(SBOError):
 # --- scenario harness ---
 
 class ScenarioError(SBOError):
-    """A scenario file failed validation; ``path`` points at the offending element."""
+    """An input file or argument (a scenario, a CLI file or flag) failed validation.
+
+    ``path`` points at the offending element.
+    """
 
     def __init__(self, message: str, *, path: str | None = None):
         location = f" ({path})" if path else ""

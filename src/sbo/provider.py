@@ -16,11 +16,12 @@ import os
 import secrets
 import threading
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable
+from typing import Iterable
 
+from .clock import Clock, system_clock
 from .crml import (
     BlockListRecord,
     CRMLDocument,
@@ -59,13 +60,6 @@ from .rules import (
     evaluate_rule,
     render_rule,
 )
-
-Clock = Callable[[], datetime]
-
-
-def system_clock() -> datetime:
-    return datetime.now(timezone.utc)
-
 
 @dataclass(frozen=True)
 class TokenGrant:

@@ -315,17 +315,6 @@ class MatchThresholds:
             Strictness.LENIENT: self.image_lenient,
         }[strictness]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatchThresholds":
-        """Build from {"text": {"Strict": ...}, "image": {...}}; missing levels keep defaults."""
-        kwargs = {}
-        for level in Strictness:
-            if level.value in data.get("text", {}):
-                kwargs[f"text_{level.value.lower()}"] = float(data["text"][level.value])
-            if level.value in data.get("image", {}):
-                kwargs[f"image_{level.value.lower()}"] = int(data["image"][level.value])
-        return cls(**kwargs)
-
 
 DEFAULT_THRESHOLDS = MatchThresholds()
 

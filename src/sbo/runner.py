@@ -11,13 +11,12 @@ from random import Random
 from .brokers import StubBroker
 from .client import EnforcementClient, IntegrationMethod, Trigger
 from .clock import SimulatedClock
-from .crml import parse_identifier_map
 from .errors import EmptyBlockSetError, EvalError, ScenarioError
 from .http_api import ProviderApi
 from .identifiers import Profile
 from .provider import ProviderService
 from .restclient import IssuedToken, ProviderRestClient
-from .scenario import AppSpec, Event, Scenario, load_integration_config, load_scenario
+from .scenario import AppSpec, Event, Scenario, load_scenario
 from .transport import InProcessTransport, SwitchableTransport
 
 
@@ -137,9 +136,8 @@ class _Runner:
                 if mismatches:
                     failures.append({"event": event.index, "mismatches": mismatches})
                     if event.type == "profile_appears" and "blocked" in event.expect:
-                        entry["trace"] = self._explain(
-                            self.apps[event.fields["app"]],
-                            self._profile_from(event.fields["profile"]))
+                        entry["trace"] = self._explain(self.apps[event.fields["app"]],
+                                                       event.fields["profile"])
             report_events.append(entry)
         apps_report = {}
         for app_id in sorted(self.apps):
@@ -168,11 +166,6 @@ class _Runner:
             if actual != expected:
                 mismatches.append({"key": key, "expected": expected, "actual": actual})
         return mismatches
-
-    @staticmethod
-    def _profile_from(raw: dict) -> Profile:
-        return Profile(raw.get("profile_id", "profile"),
-                       parse_identifier_map(raw["identifiers"]))
 
     def _explain(self, app: _App, profile: Profile) -> list[dict]:
         """Full predicate traces for every cached contact (attached on failures)."""
@@ -248,8 +241,7 @@ class _Runner:
     def _run_profile_appears(self, event: Event) -> dict:
         app = self.apps[event.fields["app"]]
         outcome = self._refresh_outcome(app, Trigger.REQUEST)
-        profile = self._profile_from(event.fields["profile"])
-        decision = app.client.is_blocked(profile)
+        decision = app.client.is_blocked(event.fields["profile"])
         outcome["blocked"] = decision.blocked
         outcome["match_count"] = len(decision.matches)
         outcome["matches"] = [
@@ -263,17 +255,14 @@ class _Runner:
 
     def _run_login(self, event: Event) -> dict:
         app = self.apps[event.fields["app"]]
-        for i, raw_config in enumerate(event.fields.get("integrations", [])):
-            config = load_integration_config(raw_config,
-                                             f"events[{event.index}].integrations[{i}]")
+        for i, config in enumerate(event.fields["integrations"]):
             try:
-                app.client.add_integration(config, event.fields.get("credentials"))
+                app.client.add_integration(config, event.fields["credentials"])
             except ValueError as exc:
                 raise ScenarioError(str(exc),
                                     path=f"events[{event.index}].integrations[{i}]") from exc
         outcome = self._refresh_outcome(app, Trigger.LOGIN)
-        user = event.fields["user"]
-        report = app.client.on_blocked_user_login(user["identifiers"])
+        report = app.client.on_blocked_user_login(event.fields["identifiers"])
         blockers = sorted(set(report.blockers))
         outcome["blocked_by"] = [
             {"provider": host, "account": account, "list": list_name}
@@ -291,8 +280,7 @@ class _Runner:
         return {}
 
     def _run_set_broker_enabled(self, event: Event) -> dict:
-        method = IntegrationMethod(event.fields["broker"])
-        self.brokers[method].enabled = event.fields["enabled"]
+        self.brokers[event.fields["broker"]].enabled = event.fields["enabled"]
         return {}
 
     def _run_remove_integration(self, event: Event) -> dict:

@@ -1,37 +1,30 @@
-"""Scenario files: schema, validation, and loading.
+"""Input files: scenarios, and the files and arguments the CLI reads.
 
 A scenario describes providers to spawn, the accounts/lists/contacts to
 seed, the applications consuming them, and a timeline of events with
-expected outcomes. Validation guarantees timestamps are non-decreasing and
-every referenced entity is defined before use, so the runner can assume a
-well-formed world.
+expected outcomes. Every value is read once, by ``read_field``, into the
+typed value the runner uses; the loader also checks that timestamps never
+decrease and that every referenced entity is defined before use. So the
+runner can assume a well-formed world, and a malformed file is a
+``ScenarioError`` that names the JSON path, never another exception.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .client import (
-    IntegrationConfig,
-    IntegrationMethod,
-    RefreshPolicy,
-    parse_refresh_policy,
-)
+from .client import (IntegrationConfig, IntegrationMethod, Manual, OnLogin, Periodic,
+                     PerRequest, RefreshPolicy)
 from .crml import parse_identifier_map
 from .errors import ParseError, ScenarioError, SchemaError
-from .identifiers import Strictness
-from .rules import parse_rule
+from .identifiers import Profile, Strictness
+from .rules import MatchThresholds, parse_rule
 from .similarity import average_hash
 
-_EVENT_TYPES = (
-    "block_contact", "remove_contact", "set_rule",
-    "timer_tick", "manual_refresh", "profile_appears", "login",
-    "set_provider_down", "set_broker_enabled", "remove_integration", "advance",
-)
-
-_EXPECT_KEYS = {
+_EXPECT_KEYS = {  # also the set of event types
     "block_contact": {"contact_id"},
     "remove_contact": set(),
     "set_rule": set(),
@@ -45,7 +38,15 @@ _EXPECT_KEYS = {
     "advance": set(),
 }
 
-_BROKER_METHODS = (IntegrationMethod.SSO_DELEGATED, IntegrationMethod.LDAP_DELEGATED)
+_BROKER_METHODS = {m.value: m for m in (IntegrationMethod.SSO_DELEGATED,
+                                         IntegrationMethod.LDAP_DELEGATED)}
+
+_POLICIES = {"OnLogin": OnLogin(), "PerRequest": PerRequest(), "Manual": Manual()}
+
+# Event offsets and token lifetimes above this overflow the simulated clock's datetime.
+_MAX_SECONDS = 1e9
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class Event:
     index: int
     at: float
     type: str
-    fields: dict
+    fields: dict  # parsed: wire-shaped identifiers, a Profile, IntegrationConfigs, ...
     expect: dict | None
 
 
@@ -109,12 +110,24 @@ def _fail(message: str, path: str) -> ScenarioError:
     return ScenarioError(message, path=path)
 
 
-def _require(raw: dict, key: str, kind: type, path: str):
+def read_field(raw: object, key: str, kind: type, path: str, default=_MISSING):
+    """``raw[key]`` as a ``kind``, where ``raw`` is the object at ``path``.
+
+    A float field takes an int; an enum field takes one of its string values.
+    With a ``default``, an absent or null field gives the default.
+    """
     if not isinstance(raw, dict):
         raise _fail("expected an object", path)
+    value = raw.get(key)
+    if value is None and default is not _MISSING:
+        return default
     if key not in raw:
         raise _fail(f"missing field {key!r}", path)
-    value = raw[key]
+    if issubclass(kind, enum.Enum) and isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise _fail(str(exc), f"{path}.{key}") from exc
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
@@ -122,24 +135,55 @@ def _require(raw: dict, key: str, kind: type, path: str):
     return value
 
 
-def normalize_scenario_identifiers(raw: dict, path: str) -> dict:
-    """Resolve harness-only conveniences: 8x8 pixel grids become phash64 values."""
-    out: dict = {}
-    for key, value in raw.items():
+def load_json(source: str | Path, text: str | None = None) -> object:
+    """Decode ``text``, or the file at ``source`` when no text is given."""
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8") if text is None else text)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ScenarioError(f"cannot read {source} as JSON: {exc}") from exc
+
+
+def _unique(value, seen: set, what: str, path: str):
+    if value in seen:
+        raise _fail(f"duplicate {what} {value!r}", path)
+    seen.add(value)
+    return value
+
+
+def _known(raw: object, key: str, known: set, path: str) -> str:
+    value = read_field(raw, key, str, path)
+    if value not in known:
+        raise _fail(f"undefined {key} {value!r}", path)
+    return value
+
+
+def _rule_text(raw: object, path: str, default=_MISSING) -> str | None:
+    text = read_field(raw, "rule_text", str, path, default)
+    if text is not None:
+        try:
+            parse_rule(text)
+        except ParseError as exc:
+            raise _fail(f"bad rule_text: {exc}", f"{path}.rule_text") from exc
+    return text
+
+
+def load_identifiers(raw: object, path: str) -> dict:
+    """The wire-shaped identifier map at ``raw["identifiers"]``, checked and non-empty.
+
+    8x8 pixel grids, a harness-only convenience, become phash64 values.
+    """
+    identifiers = read_field(raw, "identifiers", dict, path)
+    path = f"{path}.identifiers"
+    if not identifiers:
+        raise _fail("identifiers must be a non-empty object", path)
+    resolved: dict = {}
+    for key, value in identifiers.items():
         if isinstance(value, dict) and "pixels" in value:
             try:
-                out[key] = {"phash64": average_hash(value["pixels"]).to_hex()}
-            except (ValueError, TypeError) as exc:
+                value = {"phash64": average_hash(value["pixels"]).to_hex()}
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise _fail(f"bad pixel grid: {exc}", f"{path}.{key}") from exc
-        else:
-            out[key] = value
-    return out
-
-
-def _check_identifier_map(raw: object, path: str) -> dict:
-    if not isinstance(raw, dict) or not raw:
-        raise _fail("identifiers must be a non-empty object", path)
-    resolved = normalize_scenario_identifiers(raw, path)
+        resolved[key] = value
     try:
         parse_identifier_map(resolved, path)
     except SchemaError as exc:
@@ -147,82 +191,132 @@ def _check_identifier_map(raw: object, path: str) -> dict:
     return resolved
 
 
-def _load_providers(raw: object) -> tuple[tuple[SeedProvider, ...], dict]:
-    if not isinstance(raw, list):
-        raise _fail("providers must be a list", "providers")
+def load_profile(raw: object, path: str) -> Profile:
+    identifiers = load_identifiers(raw, path)
+    return Profile(read_field(raw, "profile_id", str, path, "profile"),
+                   parse_identifier_map(identifiers))
+
+
+def load_thresholds(raw: object, path: str) -> MatchThresholds:
+    """{"text": {"Strict": ...}, "image": {...}}; missing levels keep their defaults."""
+    levels = {}
+    for family, kind in (("text", float), ("image", int)):
+        values = read_field(raw, family, dict, path, {})
+        for level in Strictness:
+            if level.value in values:
+                levels[f"{family}_{level.value.lower()}"] = read_field(
+                    values, level.value, kind, f"{path}.{family}")
+    try:
+        return MatchThresholds(**levels)
+    except ValueError as exc:
+        raise _fail(str(exc), path) from exc
+
+
+def _load_integrations(raw: object, path: str, key: str,
+                       hosts: set[str]) -> tuple[IntegrationConfig, ...]:
+    configs: list[IntegrationConfig] = []
+    ranks: set[int] = set()
+    for j, raw_config in enumerate(read_field(raw, key, list, path, [])):
+        config_path = f"{path}.{key}[{j}]"
+        host = _known(raw_config, "provider_host", hosts, config_path)
+        rank = _unique(read_field(raw_config, "priority_rank", int, config_path), ranks,
+                       "priority_rank", config_path)
+        if rank < 1:
+            raise _fail("priority_rank must be a positive integer", config_path)
+        configs.append(IntegrationConfig(
+            provider_host=host,
+            account_name=read_field(raw_config, "account_name", str, config_path),
+            method=read_field(raw_config, "method", IntegrationMethod, config_path),
+            priority_rank=rank,
+            credential_ref=read_field(raw_config, "credential_ref", str, config_path, None),
+        ))
+    return tuple(configs)
+
+
+def _credentials(raw: object, path: str) -> dict[str, str]:
+    credentials = read_field(raw, "credentials", dict, path, {})
+    for ref in credentials:
+        read_field(credentials, ref, str, f"{path}.credentials")
+    return credentials
+
+
+def _refresh_policy(raw: object, path: str) -> RefreshPolicy:
+    policy = read_field(raw, "refresh_policy", dict, path, {"type": "Manual"})
+    path = f"{path}.refresh_policy"
+    kind = read_field(policy, "type", str, path)
+    if kind == "Periodic":
+        interval = read_field(policy, "interval_seconds", float, path)
+        if not interval > 0:
+            raise _fail("Periodic interval must be > 0", path)
+        return Periodic(interval)
+    if kind not in _POLICIES:
+        raise _fail(f"unknown refresh policy type {kind!r}", path)
+    return _POLICIES[kind]
+
+
+def load_app(raw: object, path: str, app_id: str, integrations_key: str,
+             hosts: set[str]) -> AppSpec:
+    """What an EnforcementClient is built from: integrations, credentials, refresh policy.
+
+    Read for a scenario's application and for the ``check-profile`` config.
+    """
+    return AppSpec(app_id, _load_integrations(raw, path, integrations_key, hosts),
+                   _credentials(raw, path), _refresh_policy(raw, path))
+
+
+def _load_providers(raw: dict) -> tuple[tuple[SeedProvider, ...], dict]:
     providers: list[SeedProvider] = []
     secrets: dict[tuple[str, str], str] = {}
-    seen_hosts: set[str] = set()
-    for i, raw_provider in enumerate(raw):
+    hosts: set[str] = set()
+    for i, raw_provider in enumerate(read_field(raw, "providers", list, "scenario", [])):
         path = f"providers[{i}]"
-        if not isinstance(raw_provider, dict):
-            raise _fail("provider must be an object", path)
-        host = _require(raw_provider, "host", str, path)
-        if host in seen_hosts:
-            raise _fail(f"duplicate provider host {host!r}", path)
-        seen_hosts.add(host)
-        ttl = int(raw_provider.get("token_ttl_seconds", 3600))
+        host = _unique(read_field(raw_provider, "host", str, path), hosts,
+                       "provider host", path)
+        ttl = read_field(raw_provider, "token_ttl_seconds", int, path, 3600)
+        if not 0 < ttl <= _MAX_SECONDS:
+            raise _fail(f"token_ttl_seconds must be in 1..{_MAX_SECONDS:.0f}", path)
         accounts: list[SeedAccount] = []
-        seen_accounts: set[str] = set()
-        for j, raw_account in enumerate(raw_provider.get("accounts", [])):
+        names: set[str] = set()
+        for j, raw_account in enumerate(read_field(raw_provider, "accounts", list, path, [])):
             account_path = f"{path}.accounts[{j}]"
-            name = _require(raw_account, "account_name", str, account_path)
-            secret = _require(raw_account, "secret", str, account_path)
-            if name in seen_accounts:
-                raise _fail(f"duplicate account {name!r}", account_path)
-            seen_accounts.add(name)
+            name = _unique(read_field(raw_account, "account_name", str, account_path),
+                           names, "account", account_path)
+            secret = read_field(raw_account, "secret", str, account_path)
             secrets[(host, name)] = secret
             lists: list[SeedList] = []
-            seen_lists: set[str] = set()
-            for k, raw_list in enumerate(raw_account.get("block_lists", [])):
+            list_names: set[str] = set()
+            raw_lists = read_field(raw_account, "block_lists", list, account_path, [])
+            for k, raw_list in enumerate(raw_lists):
                 list_path = f"{account_path}.block_lists[{k}]"
-                list_name = _require(raw_list, "name", str, list_path)
-                if list_name in seen_lists:
-                    raise _fail(f"duplicate block list {list_name!r}", list_path)
-                seen_lists.add(list_name)
-                try:
-                    strictness = Strictness(_require(raw_list, "strictness", str, list_path))
-                except ValueError as exc:
-                    raise _fail(str(exc), f"{list_path}.strictness") from exc
-                rule_text = raw_list.get("rule_text")
-                if rule_text is not None:
-                    try:
-                        parse_rule(rule_text)
-                    except ParseError as exc:
-                        raise _fail(f"bad rule_text: {exc}", f"{list_path}.rule_text") from exc
-                contacts = tuple(
-                    _check_identifier_map(
-                        raw_contact.get("identifiers"),
-                        f"{list_path}.contacts[{m}].identifiers")
-                    for m, raw_contact in enumerate(raw_list.get("contacts", []))
-                )
-                lists.append(SeedList(list_name, strictness, rule_text, contacts))
+                lists.append(SeedList(
+                    _unique(read_field(raw_list, "name", str, list_path), list_names,
+                            "block list", list_path),
+                    read_field(raw_list, "strictness", Strictness, list_path),
+                    _rule_text(raw_list, list_path, None),
+                    tuple(load_identifiers(raw_contact, f"{list_path}.contacts[{m}]")
+                          for m, raw_contact in enumerate(
+                              read_field(raw_list, "contacts", list, list_path, []))),
+                ))
             accounts.append(SeedAccount(name, secret, tuple(lists)))
         providers.append(SeedProvider(host, ttl, tuple(accounts)))
     return tuple(providers), secrets
 
 
-def _load_brokers(raw: object, secrets: dict) -> tuple[BrokerSpec, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, dict):
-        raise _fail("brokers must be an object keyed by method", "brokers")
+def _load_brokers(raw: dict, secrets: dict) -> tuple[BrokerSpec, ...]:
     specs: list[BrokerSpec] = []
-    for method_name, raw_spec in raw.items():
+    for method_name, raw_spec in read_field(raw, "brokers", dict, "scenario", {}).items():
         path = f"brokers.{method_name}"
-        try:
-            method = IntegrationMethod(method_name)
-        except ValueError as exc:
-            raise _fail(str(exc), path) from exc
-        if method not in _BROKER_METHODS:
-            raise _fail(f"{method_name} is not a delegated method", path)
-        enabled = bool(raw_spec.get("enabled", True))
+        method = _BROKER_METHODS.get(method_name)
+        if method is None:
+            raise _fail(f"{method_name!r} is not a delegated method", path)
+        enabled = read_field(raw_spec, "enabled", bool, path, True)
         grants: list[tuple[str, str, str]] = []
-        for i, raw_grant in enumerate(raw_spec.get("authorizations", [])):
+        for i, raw_grant in enumerate(read_field(raw_spec, "authorizations", list, path, [])):
             grant_path = f"{path}.authorizations[{i}]"
-            host = _require(raw_grant, "provider_host", str, grant_path)
-            account = _require(raw_grant, "account_name", str, grant_path)
-            secret = raw_grant.get("secret", secrets.get((host, account)))
+            host = read_field(raw_grant, "provider_host", str, grant_path)
+            account = read_field(raw_grant, "account_name", str, grant_path)
+            secret = read_field(raw_grant, "secret", str, grant_path,
+                                secrets.get((host, account)))
             if secret is None:
                 raise _fail(f"no secret known for {account}@{host}", grant_path)
             grants.append((host, account, secret))
@@ -230,172 +324,97 @@ def _load_brokers(raw: object, secrets: dict) -> tuple[BrokerSpec, ...]:
     return tuple(specs)
 
 
-def _load_applications(raw: object, provider_hosts: set[str]) -> tuple[AppSpec, ...]:
-    if not isinstance(raw, list):
-        raise _fail("applications must be a list", "applications")
+def _load_applications(raw: dict, hosts: set[str]) -> tuple[AppSpec, ...]:
     apps: list[AppSpec] = []
-    seen_ids: set[str] = set()
-    for i, raw_app in enumerate(raw):
+    app_ids: set[str] = set()
+    for i, raw_app in enumerate(read_field(raw, "applications", list, "scenario", [])):
         path = f"applications[{i}]"
-        app_id = _require(raw_app, "app_id", str, path)
-        if app_id in seen_ids:
-            raise _fail(f"duplicate app_id {app_id!r}", path)
-        seen_ids.add(app_id)
-        integrations: list[IntegrationConfig] = []
-        ranks: set[int] = set()
-        for j, raw_config in enumerate(raw_app.get("integrations", [])):
-            config_path = f"{path}.integrations[{j}]"
-            config = load_integration_config(raw_config, config_path)
-            if config.provider_host not in provider_hosts:
-                raise _fail(f"undefined provider {config.provider_host!r}", config_path)
-            if config.priority_rank in ranks:
-                raise _fail(f"duplicate priority_rank {config.priority_rank}", config_path)
-            ranks.add(config.priority_rank)
-            integrations.append(config)
-        credentials = dict(raw_app.get("credentials", {}))
-        policy_raw = raw_app.get("refresh_policy")
-        if not isinstance(policy_raw, dict):
-            raise _fail("missing refresh_policy", path)
-        try:
-            policy = parse_refresh_policy(policy_raw)
-        except (ValueError, KeyError) as exc:
-            raise _fail(f"bad refresh_policy: {exc}", f"{path}.refresh_policy") from exc
-        apps.append(AppSpec(app_id, tuple(integrations), credentials, policy))
+        app_id = _unique(read_field(raw_app, "app_id", str, path), app_ids, "app_id", path)
+        apps.append(load_app(raw_app, path, app_id, "integrations", hosts))
     return tuple(apps)
 
 
-def load_integration_config(raw: dict, path: str) -> IntegrationConfig:
-    try:
-        method = IntegrationMethod(_require(raw, "method", str, path))
-    except ValueError as exc:
-        raise _fail(str(exc), f"{path}.method") from exc
-    rank = _require(raw, "priority_rank", int, path)
-    try:
-        return IntegrationConfig(
-            provider_host=_require(raw, "provider_host", str, path),
-            account_name=_require(raw, "account_name", str, path),
-            method=method,
-            priority_rank=rank,
-            credential_ref=raw.get("credential_ref"),
-        )
-    except ValueError as exc:
-        raise _fail(str(exc), path) from exc
+def _event_fields(etype: str, raw: dict, path: str, known: dict[str, set]) -> dict:
+    """The parsed fields of one event, each checked against the entities ``known`` by kind."""
+    if etype in ("block_contact", "remove_contact", "set_rule"):
+        target = tuple(read_field(raw, key, str, path) for key in ("provider", "account", "list"))
+        if target not in known["list"]:
+            raise _fail(f"undefined block list {target!r}", path)
+        fields = dict(zip(("provider", "account", "list"), target))
+        if etype == "block_contact":
+            fields["identifiers"] = load_identifiers(raw, path)
+        elif etype == "remove_contact":
+            fields["contact_id"] = read_field(raw, "contact_id", str, path)
+        else:
+            fields["rule_text"] = _rule_text(raw, path)
+        return fields
+    if etype == "set_provider_down":
+        return {"provider": _known(raw, "provider", known["provider"], path),
+                "down": read_field(raw, "down", bool, path)}
+    if etype == "set_broker_enabled":
+        broker = read_field(raw, "broker", IntegrationMethod, path)
+        if broker not in known["broker"]:
+            raise _fail(f"broker {broker.value} not declared", path)
+        return {"broker": broker, "enabled": read_field(raw, "enabled", bool, path)}
+    if etype == "advance":
+        return {}
+    fields = {"app": _known(raw, "app", known["app"], path)}
+    if etype == "profile_appears":
+        fields["profile"] = load_profile(read_field(raw, "profile", dict, path),
+                                         f"{path}.profile")
+    elif etype == "login":
+        fields["identifiers"] = load_identifiers(read_field(raw, "user", dict, path),
+                                                 f"{path}.user")
+        fields["integrations"] = _load_integrations(raw, path, "integrations",
+                                                    known["provider"])
+        fields["credentials"] = _credentials(raw, path)
+    elif etype == "remove_integration":
+        fields["provider"] = read_field(raw, "provider", str, path)
+        fields["account"] = read_field(raw, "account", str, path)
+    return fields
 
 
-def _load_events(raw: object, scenario: Scenario) -> tuple[Event, ...]:
-    if not isinstance(raw, list):
-        raise _fail("events must be a list", "events")
-    apps = {a.app_id for a in scenario.applications}
-    broker_methods = {b.method for b in scenario.brokers}
-    known_lists = {
-        (p.host, a.account_name, bl.name)
-        for p in scenario.providers for a in p.accounts for bl in a.block_lists
+def _load_events(raw: dict, scenario: Scenario) -> tuple[Event, ...]:
+    known = {
+        "app": {a.app_id for a in scenario.applications},
+        "broker": {b.method for b in scenario.brokers},
+        "list": {(p.host, a.account_name, bl.name)
+                 for p in scenario.providers for a in p.accounts for bl in a.block_lists},
+        "provider": {p.host for p in scenario.providers},
     }
-    hosts = {p.host for p in scenario.providers}
     events: list[Event] = []
     last_at = 0.0
-    for i, raw_event in enumerate(raw):
+    for i, raw_event in enumerate(read_field(raw, "events", list, "scenario", [])):
         path = f"events[{i}]"
-        if not isinstance(raw_event, dict):
-            raise _fail("event must be an object", path)
-        at = _require(raw_event, "at", float, path)
-        if at < last_at:
-            raise _fail(f"timestamps must be non-decreasing ({at} < {last_at})", path)
+        at = read_field(raw_event, "at", float, path)
+        if not last_at <= at <= _MAX_SECONDS:  # NaN fails both
+            raise _fail(f"at must lie between the previous event's {last_at} and "
+                        f"{_MAX_SECONDS:.0f}, not {at}", path)
         last_at = at
-        etype = _require(raw_event, "type", str, path)
-        if etype not in _EVENT_TYPES:
+        etype = read_field(raw_event, "type", str, path)
+        if etype not in _EXPECT_KEYS:
             raise _fail(f"unknown event type {etype!r}", path)
-        fields = {k: v for k, v in raw_event.items() if k not in ("at", "type", "expect")}
-        expect = raw_event.get("expect")
-        if expect is not None:
-            if not isinstance(expect, dict):
-                raise _fail("expect must be an object", path)
-            unknown = set(expect) - _EXPECT_KEYS[etype]
-            if unknown:
-                raise _fail(f"unknown expect keys {sorted(unknown)}", f"{path}.expect")
-
-        if etype in ("block_contact", "remove_contact", "set_rule"):
-            target = (fields.get("provider"), fields.get("account"), fields.get("list"))
-            if target not in known_lists:
-                raise _fail(f"undefined block list {target!r}", path)
-            if etype == "block_contact":
-                fields["identifiers"] = _check_identifier_map(
-                    fields.get("identifiers"), f"{path}.identifiers")
-            if etype == "remove_contact":
-                _require(fields, "contact_id", str, path)
-            if etype == "set_rule":
-                try:
-                    parse_rule(_require(fields, "rule_text", str, path))
-                except ParseError as exc:
-                    raise _fail(f"bad rule_text: {exc}", f"{path}.rule_text") from exc
-        elif etype in ("timer_tick", "manual_refresh"):
-            if fields.get("app") not in apps:
-                raise _fail(f"undefined app {fields.get('app')!r}", path)
-        elif etype == "profile_appears":
-            if fields.get("app") not in apps:
-                raise _fail(f"undefined app {fields.get('app')!r}", path)
-            profile = fields.get("profile")
-            if not isinstance(profile, dict):
-                raise _fail("missing profile object", path)
-            profile["identifiers"] = _check_identifier_map(
-                profile.get("identifiers"), f"{path}.profile.identifiers")
-        elif etype == "login":
-            if fields.get("app") not in apps:
-                raise _fail(f"undefined app {fields.get('app')!r}", path)
-            user = fields.get("user")
-            if not isinstance(user, dict):
-                raise _fail("missing user object", path)
-            user["identifiers"] = _check_identifier_map(
-                user.get("identifiers"), f"{path}.user.identifiers")
-            for j, raw_config in enumerate(fields.get("integrations", [])):
-                config = load_integration_config(raw_config, f"{path}.integrations[{j}]")
-                if config.provider_host not in hosts:
-                    raise _fail(f"undefined provider {config.provider_host!r}",
-                                f"{path}.integrations[{j}]")
-        elif etype == "set_provider_down":
-            if fields.get("provider") not in hosts:
-                raise _fail(f"undefined provider {fields.get('provider')!r}", path)
-            _require(fields, "down", bool, path)
-        elif etype == "set_broker_enabled":
-            try:
-                method = IntegrationMethod(_require(fields, "broker", str, path))
-            except ValueError as exc:
-                raise _fail(str(exc), path) from exc
-            if method not in broker_methods:
-                raise _fail(f"broker {method.value} not declared", path)
-            _require(fields, "enabled", bool, path)
-        elif etype == "remove_integration":
-            if fields.get("app") not in apps:
-                raise _fail(f"undefined app {fields.get('app')!r}", path)
-            _require(fields, "provider", str, path)
-            _require(fields, "account", str, path)
-        events.append(Event(i, at, etype, fields, expect))
+        expect = read_field(raw_event, "expect", dict, path, None)
+        unknown = set(expect or ()) - _EXPECT_KEYS[etype]
+        if unknown:
+            raise _fail(f"unknown expect keys {sorted(unknown)}", f"{path}.expect")
+        events.append(Event(i, at, etype, _event_fields(etype, raw_event, path, known), expect))
     return tuple(events)
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Load and validate a scenario from a file path or an already-decoded object."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        try:
-            raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be an object")
-    name = _require(raw, "name", str, "scenario")
-    seed = int(raw.get("seed", 0))
-    providers, secrets = _load_providers(raw.get("providers", []))
+    raw = source if isinstance(source, dict) else load_json(source)
+    name = read_field(raw, "name", str, "scenario")
+    providers, secrets = _load_providers(raw)
     scenario = Scenario(
         name=name,
-        seed=seed,
+        seed=read_field(raw, "seed", int, "scenario", 0),
         providers=providers,
-        brokers=_load_brokers(raw.get("brokers"), secrets),
-        applications=_load_applications(raw.get("applications", []),
-                                        {p.host for p in providers}),
+        brokers=_load_brokers(raw, secrets),
+        applications=_load_applications(raw, {p.host for p in providers}),
         events=(),
         account_secrets=secrets,
     )
-    scenario.events = _load_events(raw.get("events", []), scenario)
+    scenario.events = _load_events(raw, scenario)
     return scenario

@@ -67,16 +67,16 @@ class HttpTransport:
 
     def request(self, req: ApiRequest) -> ApiResponse:
         url = self.base_url + req.path
-        http_req = urllib.request.Request(url, data=req.body or None, method=req.method)
-        for key, value in req.headers.items():
-            http_req.add_header(key, value)
         try:
+            http_req = urllib.request.Request(url, data=req.body or None, method=req.method,
+                                              headers=req.headers)
             with urllib.request.urlopen(http_req, timeout=self.timeout) as resp:
                 return ApiResponse(resp.status, dict(resp.headers.items()), resp.read())
         except urllib.error.HTTPError as exc:
             # 4xx/5xx and 304 still carry a meaningful response
             return ApiResponse(exc.code, dict(exc.headers.items()), exc.read())
-        except (OSError, http.client.HTTPException) as exc:  # the latter: a garbled answer
+        # a garbled answer, or a base URL urllib cannot use
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise FetchError(f"{req.method} {url}: {exc}") from exc
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from random import Random
 
 import pytest
+from hypothesis import strategies as st
 
 from sbo import http_api
 from sbo.crml import WireFormat, parse_crml
@@ -91,3 +93,43 @@ def canonical_provider(service, rest):
         "EmailId": "john.smith@example.com",
     })
     return service, rest, token
+
+
+def _json_paths(node, prefix: tuple = ()) -> list[tuple]:
+    """The path, as a key sequence, of every value inside a decoded JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(_json_paths(child, prefix + (key,)))
+    return paths
+
+
+def break_one_field(data, doc):
+    """A copy of ``doc`` with one field, drawn by ``data``, deleted, retyped or made unhashable.
+
+    A retyped field becomes an int, a str, a list, a dict or null; an unhashable
+    one keeps its value inside a list.
+    """
+    path = data.draw(st.sampled_from(_json_paths(doc)))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    how = data.draw(st.sampled_from(["delete", "int", "str", "list", "dict", "null",
+                                     "unhashable"]))
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "int":
+        parent[path[-1]] = data.draw(st.integers(min_value=-2, max_value=10**12))
+    elif how == "str":
+        parent[path[-1]] = data.draw(st.sampled_from(["", "x"]))
+    else:
+        parent[path[-1]] = {"list": [], "dict": {}, "null": None,
+                            "unhashable": [parent[path[-1]]]}[how]
+    return doc

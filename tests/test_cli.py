@@ -4,11 +4,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sbo.cli import main
 from sbo.crml import WireFormat, parse_crml
+from sbo.restclient import ProviderRestClient
+from sbo.transport import HttpTransport
 
-from .conftest import CANONICAL_RULE, make_service, serving
+from .conftest import CANONICAL_RULE, break_one_field, make_service, serving
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -220,3 +223,133 @@ def test_serve_subprocess_with_env_config(tmp_path):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def _file(tmp_path, content, name="input.json") -> str:
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _assert_status_line(code: int, out: str, err: str) -> dict:
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert isinstance(error["code"], str) and isinstance(error["message"], str)
+    return error
+
+
+# Each input is refused before any request is sent, so this address is never dialled.
+_BEARER = ("--provider", "http://127.0.0.1:9", "--token", "t", "--account", "a")
+
+# (argv builder given tmp_path, the error code the CLI must print)
+_BAD_INPUTS = {
+    "add-contact-file-not-json": (lambda t: [
+        "add-contact", *_BEARER, "--list", "L", "--file", _file(t, "{not json")],
+        "ScenarioError"),
+    "add-contact-file-json-list": (lambda t: [
+        "add-contact", *_BEARER, "--list", "L", "--file", _file(t, [{"Username": "x"}])],
+        "ScenarioError"),
+    "check-profile-config-without-provider-host": (lambda t: [
+        "check-profile", "--file", _file(t, {"Username": "x"}), "--config",
+        _file(t, {"providers": [{"account_name": "a", "method": "Direct",
+                                 "priority_rank": 1}]}, "config.json")],
+        "ScenarioError"),
+    "blocked-by-missing-file": (lambda t: [
+        "blocked-by", "--provider", "http://127.0.0.1:9", "--file", str(t / "missing.json")],
+        "ScenarioError"),
+    "blocked-by-provider-not-a-url": (lambda t: [
+        "blocked-by", "--provider", "nowhere", "--file", _file(t, {"Username": "x"})],
+        "FetchError"),
+    "run-scenario-missing-file": (lambda t: ["run-scenario", str(t / "missing.json")],
+                                  "ScenarioError"),
+    "serve-thresholds-not-json": (lambda t: [
+        "serve", "--listen", "127.0.0.1:0", "--thresholds", "{text"], "ScenarioError"),
+    "serve-thresholds-wrong-type": (lambda t: [
+        "serve", "--listen", "127.0.0.1:0", "--thresholds", '{"text": {"Strict": "high"}}'],
+        "ScenarioError"),
+    "serve-thresholds-out-of-order": (lambda t: [
+        "serve", "--listen", "127.0.0.1:0", "--thresholds", '{"text": {"Medium": 0.95}}'],
+        "ScenarioError"),
+    "serve-listen-without-port": (lambda t: ["serve", "--listen", "localhost"],
+                                  "ScenarioError"),
+    "serve-listen-named-port": (lambda t: ["serve", "--listen", "127.0.0.1:http"],
+                                "ScenarioError"),
+}
+
+
+@pytest.mark.parametrize("argv, error_code", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+def test_bad_input_is_a_status_line_and_exit_1(capsys, tmp_path, argv, error_code):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert _assert_status_line(code, out, err)["code"] == error_code
+
+
+def test_bad_token_ttl_variable_fails_only_serve(capsys, monkeypatch):
+    monkeypatch.setenv("SBO_TOKEN_TTL", "abc")
+    code, _out, _err = run_cli(capsys, "run-scenario", str(SCENARIOS / "priority_override.json"))
+    assert code == 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["serve", "--listen", "127.0.0.1:0"])
+    assert exit_.value.code == 2
+    assert "--token-ttl" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_provider():
+    """(host:port, token) of a loopback provider with account bell and list L."""
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        host, port = server.server_address
+        rest = ProviderRestClient(HttpTransport(f"http://{host}:{port}"))
+        rest.create_account("bell", "pw")
+        token = rest.issue_token("bell", "pw").token
+        rest.create_block_list(token, "bell", "L", "Medium")
+        yield f"{host}:{port}", token
+
+
+_GRID = [[0] * 8, [255] * 8] * 4
+_PROFILE = {"profile_id": "p", "identifiers": {
+    "EmailId": "mallory@example.com", "Username": "mallory", "ProfileImage": {"pixels": _GRID}}}
+_SCENARIO_DOCS = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))]
+
+
+def _client_config(host_port: str) -> dict:
+    # provider_host is the loopback address too, so no field left out reaches another host
+    return {
+        "providers": [{"provider_host": host_port, "base_url": f"http://{host_port}",
+                       "account_name": "bell", "method": "Direct", "priority_rank": 1,
+                       "credential_ref": "c"}],
+        "credentials": {"c": "pw"},
+        "refresh_policy": {"type": "Periodic", "interval_seconds": 30},
+        "thresholds": {"text": {"Strict": 0.95}, "image": {"Lenient": 20}},
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_answers_any_broken_input_file_with_a_result_or_a_status_line(
+        data, capsys, tmp_path, fuzz_provider):
+    host_port, token = fuzz_provider
+    url = f"http://{host_port}"
+    verb = data.draw(st.sampled_from(["add-contact", "blocked-by", "check-profile --config",
+                                      "check-profile --file", "run-scenario"]))
+    if verb == "run-scenario":
+        argv = [verb, _file(tmp_path, break_one_field(data, data.draw(
+            st.sampled_from(_SCENARIO_DOCS))))]
+    elif verb.startswith("check-profile"):
+        config, profile = _client_config(host_port), _PROFILE
+        if verb.endswith("--config"):
+            config = break_one_field(data, config)
+        else:
+            profile = break_one_field(data, profile)
+        argv = ["check-profile", "--config", _file(tmp_path, config, "config.json"),
+                "--file", _file(tmp_path, profile)]
+    else:
+        bearer = ["--token", token, "--account", "bell", "--list", "L"]
+        argv = [verb, "--provider", url, *(bearer if verb == "add-contact" else []),
+                "--file", _file(tmp_path, break_one_field(data, _PROFILE))]
+    code, out, err = run_cli(capsys, *argv)
+    if err:
+        _assert_status_line(code, out, err)
+    else:
+        assert code == 0 or json.loads(out)["pass"] is False

@@ -460,6 +460,23 @@ def test_removing_provider_config_unblocks(world):
     assert not client.is_blocked(MALLORY_PROFILE).blocked
 
 
+def test_fetch_methods_name_only_the_accounts_the_last_refresh_resolved(world):
+    world.seed("sbo.alpha.com", "ann")
+    world.seed("sbo.beta.com", "ann")
+    sso = StubBroker("SsoDelegated", world.transports)
+    sso.authorize("sbo.beta.com", "ann", "secret-ann")
+    client = world.client([cfg("sbo.alpha.com", "ann"), cfg("sbo.beta.com", "ann", SSO, rank=2)],
+                          brokers={SSO: sso})
+    client.refresh()
+    assert client.last_fetch_methods == {("sbo.alpha.com", "ann"): D, ("sbo.beta.com", "ann"): SSO}
+    sso.enabled = False  # beta's only method is gone
+    client.refresh()
+    assert client.last_fetch_methods == {("sbo.alpha.com", "ann"): D}
+    client.remove_integration("sbo.alpha.com", "ann")
+    client.refresh()
+    assert client.last_fetch_methods == {}
+
+
 def test_blockset_atomic_publish(world):
     world.seed("sbo.alpha.com", "ann", contacts=[MALLORY])
     client = world.client([cfg("sbo.alpha.com", "ann")])

@@ -14,6 +14,7 @@ from sbo.rules import (
     parse_rule,
     render_rule,
 )
+from sbo.scenario import load_thresholds
 
 from .oracles import fold_evaluate, random_ast, random_bag
 
@@ -214,7 +215,7 @@ def test_two_clause_rule_second_clause_route(canonical_doc):
 
 
 def test_threshold_overrides():
-    thresholds = MatchThresholds.from_dict({"text": {"Strict": 0.85}})
+    thresholds = load_thresholds({"text": {"Strict": 0.85}}, "thresholds")
     assert thresholds.text_strict == 0.85
     assert thresholds.text_medium == 0.75  # untouched levels keep defaults
     c = contact(FullName="Johnsmith")  # similarity 8/9 ~ 0.889

@@ -4,10 +4,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbo.errors import ScenarioError
 from sbo.runner import run_scenario
 from sbo.scenario import load_scenario
+
+from .conftest import break_one_field
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 CORPUS = sorted(SCENARIOS.glob("*.json"))
@@ -227,3 +230,78 @@ def test_latency_reporting():
                  for app, row in report.apps.items()}
     assert latencies == {"app-periodic": 30.0, "app-onlogin": 12.0,
                          "app-perrequest": 5.0, "app-manual": 50.0}
+
+
+def _login(**fields) -> dict:
+    return {"at": 0, "type": "login", "app": "app",
+            "user": {"user_id": "u", "identifiers": {"Username": "x"}}, **fields}
+
+
+_INF_GRID = [[1e400] * 8] * 8  # what json.loads makes of a file's 1e400: infinity
+
+# (change to minimal_scenario(), the path the error must name)
+_MALFORMED = {
+    "seed-str": (lambda s: s.update(seed="abc"), "scenario"),
+    "token-ttl-str": (lambda s: s["providers"][0].update(token_ttl_seconds="x"),
+                      "providers[0]"),
+    "token-ttl-overflows-clock": (
+        lambda s: s["providers"][0].update(token_ttl_seconds=10**12), "providers[0]"),
+    "broker-spec-list": (lambda s: s.update(brokers={"SsoDelegated": [1]}),
+                         "brokers.SsoDelegated"),
+    "broker-enabled-str": (lambda s: s.update(brokers={"SsoDelegated": {"enabled": "false"}}),
+                           "brokers.SsoDelegated"),
+    "seed-contact-int": (
+        lambda s: s["providers"][0]["accounts"][0]["block_lists"][0].update(contacts=[1]),
+        "providers[0].accounts[0].block_lists[0].contacts[0]"),
+    "accounts-int": (lambda s: s["providers"][0].update(accounts=5), "providers[0]"),
+    "credentials-list": (lambda s: s["applications"][0].update(credentials=[1]),
+                         "applications[0]"),
+    "periodic-null-interval": (
+        lambda s: s["applications"][0].update(
+            refresh_policy={"type": "Periodic", "interval_seconds": None}),
+        "applications[0].refresh_policy"),
+    "app-integrations-int": (lambda s: s["applications"][0].update(integrations=3),
+                             "applications[0]"),
+    "login-integrations-int": (lambda s: s.update(events=[_login(integrations=3)]),
+                               "events[0]"),
+    "app-list": (lambda s: s.update(events=[{"at": 0, "type": "timer_tick", "app": ["app"]}]),
+                 "events[0]"),
+    "provider-list": (lambda s: s.update(events=[{
+        "at": 0, "type": "remove_contact", "provider": ["sbo.aws.com"], "account": "ann",
+        "list": "L", "contact_id": "c-001"}]), "events[0]"),
+    "at-overflows-clock": (lambda s: s.update(events=[{"at": 1e12, "type": "advance"}]),
+                           "events[0]"),
+    "at-nan": (lambda s: s.update(events=[{"at": float("nan"), "type": "advance"}]),
+               "events[0]"),
+    "infinite-pixel-grid": (lambda s: s.update(events=[{
+        "at": 0, "type": "profile_appears", "app": "app",
+        "profile": {"identifiers": {"ProfileImage": {"pixels": _INF_GRID}}}}]),
+        "events[0].profile.identifiers.ProfileImage"),
+}
+
+
+@pytest.mark.parametrize("change, path", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_scenario_is_a_scenario_error_naming_its_path(change, path):
+    scenario = minimal_scenario()
+    change(scenario)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(scenario)
+    assert err.value.path == path
+
+
+def test_missing_scenario_file_is_a_scenario_error(tmp_path):
+    with pytest.raises(ScenarioError, match="nope.json"):
+        load_scenario(tmp_path / "nope.json")
+
+
+_CORPUS_DOCS = [json.loads(path.read_text()) for path in CORPUS]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loader_answers_any_broken_field_with_a_scenario_or_a_scenario_error(data):
+    scenario = break_one_field(data, data.draw(st.sampled_from(_CORPUS_DOCS)))
+    try:
+        load_scenario(scenario)
+    except ScenarioError as exc:
+        assert str(exc)
