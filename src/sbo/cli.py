@@ -16,7 +16,7 @@ from .client import EnforcementClient
 from .crml import WireFormat, format_timestamp, parse_crml, serialize_crml
 from .errors import SBOError, RestApiError, ScenarioError
 from .identifiers import Strictness
-from .provider import ProviderService
+from .provider import MAX_TOKEN_TTL_SECONDS, ProviderService
 from .restclient import ProviderRestClient
 from .runner import run_scenario
 from .scenario import (load_app, load_identifiers, load_json, load_profile, load_thresholds,
@@ -27,6 +27,18 @@ from . import http_api
 
 def _env(name: str, default: str | None = None) -> str | None:
     return os.environ.get(name, default)
+
+
+def _token_ttl(text: str) -> int:
+    """argparse type of --token-ttl and SBO_TOKEN_TTL: a bad value is a usage error of serve."""
+    try:
+        ttl = int(text)
+    except ValueError:
+        ttl = 0
+    if not 1 <= ttl <= MAX_TOKEN_TTL_SECONDS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {MAX_TOKEN_TTL_SECONDS}, not {text!r}")
+    return ttl
 
 
 def _rest(args) -> ProviderRestClient:
@@ -52,7 +64,11 @@ def cmd_serve(args) -> int:
         token_ttl_seconds=args.token_ttl,
         thresholds=thresholds,
     )
-    server = http_api.serve(service, host or "127.0.0.1", int(port))
+    try:
+        server = http_api.serve(service, host or "127.0.0.1", int(port))
+    except OSError as exc:  # the port is taken, or the host is not one of ours
+        service.close()
+        raise ScenarioError(f"cannot listen on {args.listen}: {exc.strerror or exc}") from exc
     actual = server.server_address
     print(f"serving {args.provider_name} on {actual[0]}:{actual[1]}"
           + ("" if args.data_file else " (ephemeral: no --data-file)"),
@@ -162,6 +178,8 @@ def cmd_check_profile(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
+    if args.report and not Path(args.report).parent.is_dir():
+        raise ScenarioError(f"--report {args.report!r}: no such directory")
     report = run_scenario(args.file)
     text = report.to_json()
     if args.report:
@@ -184,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="provider host name stamped into exports (env SBO_PROVIDER_NAME)")
     serve.add_argument("--data-file", default=_env("SBO_DATA_FILE"),
                        help="append-only log path; omit for ephemeral state (env SBO_DATA_FILE)")
-    serve.add_argument("--token-ttl", type=int, default=_env("SBO_TOKEN_TTL") or "3600",
-                       help="bearer token lifetime in seconds (env SBO_TOKEN_TTL)")
+    serve.add_argument("--token-ttl", type=_token_ttl, default=_env("SBO_TOKEN_TTL") or "3600",
+                       help=f"bearer token lifetime in seconds, 1 to {MAX_TOKEN_TTL_SECONDS}"
+                            " (env SBO_TOKEN_TTL)")
     serve.add_argument("--thresholds", default=_env("SBO_THRESHOLDS"),
                        help='JSON thresholds override, e.g. {"text":{"Strict":0.95}}'
                             " (env SBO_THRESHOLDS)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -176,25 +177,31 @@ _MAX_BODY = 1 << 20  # bytes; no request of this API comes near it
 
 class _Handler(BaseHTTPRequestHandler):
     api: ProviderApi  # set by serve()
-    timeout = 30  # seconds a connection may stall mid-request before it is closed
+    protocol_version = "HTTP/1.1"  # keep-alive: a connection carries request after request
+    default_request_version = "HTTP/1.0"  # a bare "GET /path" line gets a status line too
+    timeout = 30  # seconds a connection may wait for a request's next bytes before it is closed
 
     def _dispatch(self) -> None:
         length = (self.headers.get("Content-Length") or "0").strip()
         # 7 digits hold the cap and keep int() far from its 4,300-digit limit
-        if re.fullmatch(r"[0-9]{1,7}", length) and int(length) <= _MAX_BODY:
+        if re.fullmatch(r"[0-9]{1,7}", length) and int(length) <= _MAX_BODY \
+                and "Transfer-Encoding" not in self.headers:
             body = self.rfile.read(int(length))
             resp = self.api.handle(
                 ApiRequest(self.command, self.path, dict(self.headers.items()), body))
         else:
+            # the body is left unread, so the connection cannot carry another request
             resp = _ok(400, ValidationError(
-                f"Content-Length must be an integer from 0 to {_MAX_BODY}").to_wire())
+                f"a request body needs a Content-Length from 0 to {_MAX_BODY} "
+                "and no Transfer-Encoding").to_wire(), {"Connection": "close"})
         self.send_response(resp.status)
         for key, value in resp.headers.items():
-            self.send_header(key, value)
+            self.send_header(key, value)  # "Connection: close" also ends the connection
         self.send_header("Content-Length", str(len(resp.body)))
-        self.end_headers()
-        if resp.body:
-            self.wfile.write(resp.body)
+        # Status line, headers and body leave in one write. A body written on
+        # its own waits (Nagle) for the client's delayed ACK of the headers.
+        self._headers_buffer.append(b"\r\n" + resp.body)
+        self.flush_headers()
 
     do_GET = do_POST = do_PUT = do_DELETE = _dispatch
 
@@ -202,11 +209,46 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    """A thread per connection; closing the server also ends its open connections."""
+
+    daemon_threads = False  # so that server_close() joins every handler thread
+
+    def __init__(self, *args, **kwargs):
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)  # a failed bind calls server_close()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        # A handler waiting on an idle connection reads end of file and returns;
+        # one in the middle of a request still sends its answer.
+        with self._open_lock:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:  # the client has gone already
+                    pass
+        super().server_close()
+
+
 def serve(service: ProviderService, host: str = "127.0.0.1", port: int = 8080) -> ThreadingHTTPServer:
-    """Serve the provider REST API; returns the server (caller owns shutdown)."""
+    """Serve the provider REST API; returns the server (caller owns shutdown).
+
+    ``server_close()`` closes every open connection and joins its handler thread.
+    """
     api = ProviderApi(service)
     handler = type("BoundHandler", (_Handler,), {"api": api})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 def serve_forever_in_thread(server: ThreadingHTTPServer) -> threading.Thread:

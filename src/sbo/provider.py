@@ -61,6 +61,9 @@ from .rules import (
     render_rule,
 )
 
+MAX_TOKEN_TTL_SECONDS = 10**9
+
+
 @dataclass(frozen=True)
 class TokenGrant:
     token: str
@@ -103,6 +106,9 @@ class ProviderService:
         snapshot_every: int = 500,
         pbkdf2_iterations: int = 20_000,
     ):
+        if not 1 <= token_ttl_seconds <= MAX_TOKEN_TTL_SECONDS:
+            # a larger lifetime puts the expiry past the last datetime
+            raise ValueError(f"token_ttl_seconds must be in 1..{MAX_TOKEN_TTL_SECONDS}")
         self.provider_name = provider_name
         self.thresholds = thresholds
         self.token_ttl_seconds = token_ttl_seconds
@@ -133,10 +139,12 @@ class ProviderService:
         if not secret:
             raise ValidationError("secret must be non-empty")
         with self._lock:
-            if account_name in self._accounts:
-                raise ConflictError(f"account {account_name!r} already exists")
+            self._check_new_account(account_name)
             salt = self._random_bytes(16)
-            digest = self._hash_secret(secret, salt, self._iterations)
+        # PBKDF2 takes milliseconds: hash outside the lock, then check the name again
+        digest = self._hash_secret(secret, salt, self._iterations)
+        with self._lock:
+            self._check_new_account(account_name)
             self._commit({
                 "kind": "create_account",
                 "at": self._now_iso(),
@@ -147,14 +155,20 @@ class ProviderService:
             })
             return account_name
 
+    def _check_new_account(self, account_name: str) -> None:
+        if account_name in self._accounts:
+            raise ConflictError(f"account {account_name!r} already exists")
+
     def issue_token(self, account_name: str, secret: str) -> TokenGrant:
         with self._lock:
             account = self._accounts.get(account_name)
-            if account is None:
-                raise UnauthorizedError("unknown account or bad secret")
-            candidate = self._hash_secret(secret, account.salt, account.iterations)
-            if not hmac.compare_digest(candidate, account.credential_hash):
-                raise UnauthorizedError("unknown account or bad secret")
+        # accounts are never removed and their credentials never change, so the
+        # hash runs outside the lock against what was read under it
+        if account is None or not hmac.compare_digest(
+                self._hash_secret(secret, account.salt, account.iterations),
+                account.credential_hash):
+            raise UnauthorizedError("unknown account or bad secret")
+        with self._lock:
             now = self._clock()
             # drop expired grants here, or a token never presented again stays forever
             self._tokens = {t: grant for t, grant in self._tokens.items() if now < grant[1]}
@@ -273,20 +287,25 @@ class ProviderService:
         except SchemaError as exc:
             raise ValidationError(str(exc)) from exc
         profile = Profile("query", parsed)
-        blockers: list[tuple[str, str]] = []
+        # Only the copy holds the lock; the scan runs outside it. A stored
+        # ContactRecord is never changed in place (a removal drops it from the
+        # map, an add stores a new one), so the copied tuples stay as they were.
         with self._lock:
-            for account in self._accounts.values():
-                for stored in account.lists.values():
-                    ast = cached_parse_rule(stored.rule_text)
-                    for contact in stored.contacts.values():
-                        try:
-                            result = evaluate_rule(ast, contact, profile,
-                                                   stored.strictness, self.thresholds)
-                        except EvalError:
-                            continue
-                        if result.matched:
-                            blockers.append((account.name, stored.name))
-                            break
+            snapshot = [(account.name, stored.name, stored.rule_text, stored.strictness,
+                         tuple(stored.contacts.values()))
+                        for account in self._accounts.values()
+                        for stored in account.lists.values()]
+        blockers: list[tuple[str, str]] = []
+        for account_name, list_name, rule_text, strictness, contacts in snapshot:
+            ast = cached_parse_rule(rule_text)
+            for contact in contacts:
+                try:
+                    result = evaluate_rule(ast, contact, profile, strictness, self.thresholds)
+                except EvalError:
+                    continue
+                if result.matched:
+                    blockers.append((account_name, list_name))
+                    break
         return blockers
 
     # --- state transitions (shared by live calls and log replay) ---

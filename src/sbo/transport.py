@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import http.client
 import json
-import urllib.error
-import urllib.request
+import select
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Protocol
+from urllib.parse import urlsplit
 
 from .errors import FetchError
 
@@ -58,26 +60,76 @@ class InProcessTransport:
         return self._api.handle(req)
 
 
+_MAX_IDLE = 4  # idle connections a transport keeps; a busier moment opens more
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    while connections:
+        connections.pop().close()
+
+
+def _readable(conn: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection has something to read: the server closed it."""
+    poller = select.poll()
+    poller.register(conn.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class HttpTransport:
-    """Talks to a live provider over HTTP via urllib."""
+    """Talks to a live provider over HTTP/1.1, reusing idle connections.
+
+    A request is never sent twice: a POST may already have been applied when
+    its connection drops, so a dropped connection is a FetchError. Threads may
+    share a transport; each request holds a connection of its own while it runs.
+    """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        # callers (the CLI verbs, the benchmark) drop a transport without closing it
+        weakref.finalize(self, _close_all, self._idle)
 
     def request(self, req: ApiRequest) -> ApiResponse:
         url = self.base_url + req.path
+        conn, reusable = None, False
         try:
-            http_req = urllib.request.Request(url, data=req.body or None, method=req.method,
-                                              headers=req.headers)
-            with urllib.request.urlopen(http_req, timeout=self.timeout) as resp:
-                return ApiResponse(resp.status, dict(resp.headers.items()), resp.read())
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx and 304 still carry a meaningful response
-            return ApiResponse(exc.code, dict(exc.headers.items()), exc.read())
-        # a garbled answer, or a base URL urllib cannot use
+            split = urlsplit(self.base_url)
+            conn = self._checkout(split.scheme, split.hostname, split.port)
+            conn.request(req.method, split.path + req.path, req.body or None, req.headers)
+            resp = conn.getresponse()
+            answer = ApiResponse(resp.status, dict(resp.headers.items()), resp.read())
+            reusable = not resp.will_close
+        # a garbled answer, a dropped connection, or a base URL that names no HTTP host
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise FetchError(f"{req.method} {url}: {exc}") from exc
+        finally:
+            if conn is not None:
+                self._checkin(conn, reusable)
+        return answer
+
+    def _checkout(self, scheme: str, host: str | None,
+                  port: int | None) -> http.client.HTTPConnection:
+        """The most recently used idle connection the server has not closed, or a new one."""
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _readable(conn):
+                    return conn
+                conn.close()
+        if scheme not in ("http", "https") or not host:
+            raise ValueError("the base URL must be http:// or https:// and name a host")
+        if scheme == "https":
+            return http.client.HTTPSConnection(host, port, timeout=self.timeout)
+        return http.client.HTTPConnection(host, port, timeout=self.timeout)
+
+    def _checkin(self, conn: http.client.HTTPConnection, reusable: bool) -> None:
+        with self._lock:
+            if reusable and len(self._idle) < _MAX_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
 
 
 class SwitchableTransport:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sbo.cli import main
+from sbo.cli import build_parser, main
 from sbo.crml import WireFormat, parse_crml
 from sbo.restclient import ProviderRestClient
 from sbo.transport import HttpTransport
@@ -353,3 +354,34 @@ def test_cli_answers_any_broken_input_file_with_a_result_or_a_status_line(
         _assert_status_line(code, out, err)
     else:
         assert code == 0 or json.loads(out)["pass"] is False
+
+
+def test_out_of_range_token_ttl_is_a_usage_error_of_serve(capsys, monkeypatch):
+    # parse only: a serve that accepted the value would run until killed
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["serve", "--token-ttl", str(10**12)])
+    assert exit_.value.code == 2
+    assert "--token-ttl" in capsys.readouterr().err
+    monkeypatch.setenv("SBO_TOKEN_TTL", "0")
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["serve"])
+    assert exit_.value.code == 2
+    code, _out, _err = run_cli(capsys, "run-scenario", str(SCENARIOS / "priority_override.json"))
+    assert code == 0
+
+
+def test_serve_on_a_port_in_use_is_a_status_line(capsys, tmp_path):
+    # a service left open would leak its data file, which the test settings report
+    with socket.create_server(("127.0.0.1", 0)) as holder:
+        port = holder.getsockname()[1]
+        code, out, err = run_cli(capsys, "serve", "--listen", f"127.0.0.1:{port}",
+                                 "--data-file", str(tmp_path / "busy.jsonl"))
+    error = _assert_status_line(code, out, err)
+    assert error["code"] == "ScenarioError" and str(port) in error["message"]
+
+
+def test_report_into_a_missing_directory_is_refused_before_the_run(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run-scenario", str(SCENARIOS / "priority_override.json"),
+                             "--report", str(tmp_path / "missing" / "r.json"))
+    error = _assert_status_line(code, out, err)  # nothing on stdout: the run never started
+    assert error["code"] == "ScenarioError" and "missing" in error["message"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 from urllib.parse import quote
@@ -292,3 +293,161 @@ def test_garbled_http_answer_is_a_fetch_error():
                 ApiRequest("GET", "/v1/accounts/a/crml"))
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+# --- keep-alive: one connection carries request after request ---
+
+def _url(server) -> str:
+    host, port = server.server_address
+    return f"http://{host}:{port}"
+
+
+def _record_calls(owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    setattr(owner, name, recording)
+    return calls
+
+
+def _wait_until(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_requests_on_one_transport_share_one_connection():
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        accepted = _record_calls(server, "process_request")
+        rest = ProviderRestClient(HttpTransport(_url(server)))
+        rest.create_account("bell", "x")
+        token = rest.issue_token("bell", "x").token
+        rest.create_block_list(token, "bell", "L", "Medium")
+        for i in range(17):
+            rest.blocked_by({"Username": f"user{i}"})
+    assert len(accepted) == 1
+
+
+def test_sequential_requests_on_one_connection_do_not_stall():
+    # A response written as headers and then body stalls about 40 ms on each
+    # request (Nagle's algorithm waiting for the client's delayed ACK).
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        accepted = _record_calls(server, "process_request")
+        rest = ProviderRestClient(HttpTransport(_url(server)))
+        rest.create_account("bell", "x")
+        token = rest.issue_token("bell", "x").token
+        rest.create_block_list(token, "bell", "L", "Medium")
+        started = time.monotonic()
+        ids = [rest.add_contact(token, "bell", "L", {"Username": f"user{i}"})["contact_id"]
+               for i in range(50)]
+        elapsed = time.monotonic() - started
+    assert ids == [f"c-{i:03d}" for i in range(1, 51)]
+    assert len(accepted) == 1
+    assert elapsed < 1.0
+
+
+def test_refused_content_length_closes_the_connection_and_the_next_request_succeeds():
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        accepted = _record_calls(server, "process_request")
+        transport = HttpTransport(_url(server))
+        refused = transport.request(ApiRequest(
+            "POST", "/v1/accounts", {"Content-Length": str(100_000_000)}))
+        assert refused.status == 400
+        assert refused.header("Connection") == "close"
+        assert refused.json()["code"] == "ValidationError"
+        assert ProviderRestClient(transport).create_account("bell", "x") == "bell"
+    assert len(accepted) == 2
+
+
+def test_chunked_request_body_is_refused_and_its_connection_closed():
+    # with keep-alive, an unread chunked body would be read as the next request
+    with serving(make_service()) as server:
+        response = _exchange(server, b"POST /v1/accounts HTTP/1.1\r\nHost: sbo\r\n"
+                                     b"Transfer-Encoding: chunked\r\n\r\n"
+                                     b"2\r\n{}\r\n0\r\n\r\n")
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body)["code"] == "ValidationError"
+
+
+def test_bare_request_line_gets_a_whole_answer():
+    # an HTTP/0.9-style line, without a version, has no headers to answer in
+    with serving(make_service()) as server:
+        response = _exchange(server, b"GET /v1/nowhere\r\n\r\n")
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[:2] == [b"HTTP/1.1", b"404"]
+    assert json.loads(body)["code"] == "NotFound"
+
+
+def test_connection_the_server_closed_while_idle_is_not_reused():
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        server.RequestHandlerClass.timeout = 0.3  # the bound class only; _Handler keeps its own
+        accepted = _record_calls(server, "process_request")
+        closed = _record_calls(server, "shutdown_request")
+        handled = _record_calls(server.RequestHandlerClass.api, "handle")
+        rest = ProviderRestClient(HttpTransport(_url(server)))
+        rest.create_account("bell", "x")
+        rest.create_account("eve", "x")
+        assert len(accepted) == 1  # the second request came on the first connection
+        assert _wait_until(lambda: len(closed) == 1)  # the server timed the connection out
+        rest.create_account("mallory", "x")
+    assert len(accepted) == 2
+    assert [req.body for (req,) in handled] == [
+        json.dumps({"account_name": name, "secret": "x"}).encode()
+        for name in ("bell", "eve", "mallory")]
+
+
+def test_closing_the_server_ends_its_connections_and_their_threads():
+    before = set(threading.enumerate())
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        accepted = _record_calls(server, "process_request")
+        transport = HttpTransport(_url(server))
+        ProviderRestClient(transport).create_account("bell", "x")  # leaves a connection idle
+        silent = socket.create_connection(server.server_address, timeout=5)  # sends nothing
+        assert _wait_until(lambda: len(accepted) == 2)
+        started = time.monotonic()
+    try:
+        # without ending them, server_close() waits out the handlers' 30 s timeout
+        assert time.monotonic() - started < 5
+        assert [t for t in threading.enumerate() if t not in before] == []
+    finally:
+        silent.close()
+
+
+def test_threads_sharing_one_transport_each_get_their_own_answers():
+    # passes without keep-alive too: sharing must not mix answers up
+    with serving(make_service(pbkdf2_iterations=1)) as server:
+        rest = ProviderRestClient(HttpTransport(_url(server)))
+        rest.create_account("bell", "x")
+        token = rest.issue_token("bell", "x").token
+        rest.create_block_list(token, "bell", "L", "Medium")
+        answers: dict[int, list[str]] = {}
+
+        def add(n: int) -> None:
+            answers[n] = [rest.add_contact(token, "bell", "L",
+                                           {"Username": f"user{n}x{i}"})["identifiers"]["Username"]
+                          for i in range(25)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=add, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        doc, _etag = rest.get_crml(token, "bell")
+    assert answers == {n: [f"user{n}x{i}" for i in range(25)] for n in range(4)}
+    assert len({c.contact_id for c in doc.block_lists[0].contacts}) == 100

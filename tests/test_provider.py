@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import threading
 from datetime import timedelta
 from random import Random
 
 import pytest
 
+import sbo.provider
 from sbo.crml import WireFormat, serialize_crml
 from sbo.errors import (
     ConflictError,
@@ -15,9 +17,11 @@ from sbo.errors import (
 )
 from sbo.identifiers import IdentifierKind, Strictness
 from sbo.provider import ProviderService
+from sbo.restclient import ProviderRestClient
 from sbo.rules import default_rule, render_rule
+from sbo.transport import HttpTransport
 
-from .conftest import CANONICAL_RULE, CANONICAL_TEXT, FIXED_TIME, make_service
+from .conftest import CANONICAL_RULE, CANONICAL_TEXT, FIXED_TIME, make_service, serving
 
 # the canonical document after provider-side normalization of contact values
 CANONICAL_EXPORT = CANONICAL_TEXT.replace('"John Smith"', '"john smith"')
@@ -334,6 +338,114 @@ def test_concurrent_exports_see_committed_snapshots_only(service):
     for t in threads:
         t.join(timeout=30)
     assert problems == []
+
+
+@pytest.mark.parametrize("ttl", [0, 10**9 + 1, 10**12])
+def test_token_ttl_outside_one_to_a_billion_seconds_is_refused(ttl):
+    # 10**12 s put every token's expiry past the last datetime: OverflowError on login
+    with pytest.raises(ValueError, match="token_ttl_seconds"):
+        make_service(token_ttl_seconds=ttl)
+    longest = make_service(token_ttl_seconds=10**9, pbkdf2_iterations=1)
+    longest.create_account("bell", "x")
+    assert longest.issue_token("bell", "x").expires_at == FIXED_TIME + timedelta(seconds=10**9)
+
+
+def _in_thread(fn, *args) -> tuple[threading.Thread, list]:
+    """Start ``fn(*args)`` on a thread; the list receives its result or its exception."""
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append(fn(*args))
+        except Exception as exc:  # handed to the test through ``outcome``
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+@pytest.mark.parametrize("login, account", [("issue_token", "bell"), ("create_account", "eve")])
+def test_a_write_completes_while_a_login_hashes(monkeypatch, login, account):
+    service = make_service(pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    hashing, release = threading.Event(), threading.Event()
+    hash_secret = service._hash_secret
+
+    def blocked_hash(secret, salt, iterations):
+        hashing.set()
+        release.wait(10)
+        return hash_secret(secret, salt, iterations)
+
+    monkeypatch.setattr(service, "_hash_secret", blocked_hash)
+    hasher, _ = _in_thread(getattr(service, login), account, "x")
+    try:
+        assert hashing.wait(5)
+        writer, added = _in_thread(service.add_contact, token, "L", {"Username": "mallory"})
+        writer.join(5)
+        assert added and added[0].contact_id == "c-001"  # done while the hash still waits
+    finally:
+        release.set()
+        hasher.join(5)
+    assert not hasher.is_alive()
+
+
+def test_concurrent_create_account_of_one_name_commits_once(monkeypatch, tmp_path):
+    service = make_service(tmp_path / "sbo.jsonl", pbkdf2_iterations=1)
+    both_hashing = threading.Barrier(2, timeout=5)  # both got past the first name check
+    hash_secret = service._hash_secret
+
+    def meeting_hash(secret, salt, iterations):
+        both_hashing.wait()
+        return hash_secret(secret, salt, iterations)
+
+    monkeypatch.setattr(service, "_hash_secret", meeting_hash)
+    runs = [_in_thread(service.create_account, "bell", secret) for secret in ("x", "y")]
+    for thread, _ in runs:
+        thread.join(10)
+    outcomes = [outcome[0] for _, outcome in runs]
+    service.close()
+    assert sorted(type(o).__name__ for o in outcomes) == ["ConflictError", "str"]
+    winner = "xy"[outcomes.index("bell")]
+    reborn = make_service(tmp_path / "sbo.jsonl", pbkdf2_iterations=1)
+    assert reborn.issue_token("bell", winner).account_name == "bell"
+    with pytest.raises(UnauthorizedError):
+        reborn.issue_token("bell", "xy".replace(winner, ""))
+    reborn.close()
+
+
+def test_a_write_completes_while_blocked_by_scans(monkeypatch):
+    service = make_service(pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM, "EmailId EQUALS")
+    service.add_contact(token, "L", {"EmailId": "mallory@example.com"})
+    scanning, release = threading.Event(), threading.Event()
+    evaluate_rule = sbo.provider.evaluate_rule
+
+    def blocked_evaluate(*args):
+        scanning.set()
+        release.wait(10)
+        return evaluate_rule(*args)
+
+    monkeypatch.setattr(sbo.provider, "evaluate_rule", blocked_evaluate)
+    with serving(service) as server:
+        host, port = server.server_address
+        rest = ProviderRestClient(HttpTransport(f"http://{host}:{port}"))
+        lookup, answer = _in_thread(rest.blocked_by, {"EmailId": "mallory@example.com"})
+        try:
+            assert scanning.wait(5)
+            writer, added = _in_thread(rest.add_contact, token, "bell", "L",
+                                       {"EmailId": "eve@example.com"})
+            writer.join(5)
+            assert added and added[0]["contact_id"] == "c-002"  # done while the scan waits
+        finally:
+            release.set()
+            lookup.join(5)
+        assert not lookup.is_alive()
+    assert answer == [[("bell", "L")]]
 
 
 def _seed_random_state(service: ProviderService, rng: Random, mutations: int) -> None:
