@@ -90,6 +90,16 @@ class ValidationError(ServiceError):
     http_status = 400
 
 
+class StoreError(ServiceError):
+    """The data file cannot be read or written.
+
+    After a failed append the provider refuses every write until it is rebooted.
+    """
+
+    code = "StoreUnavailable"
+    http_status = 503
+
+
 # --- enforcement client ---
 
 class NoIntegrationAvailable(SBOError):

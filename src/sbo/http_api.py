@@ -11,6 +11,7 @@ import json
 import re
 import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -194,16 +195,37 @@ class _Handler(BaseHTTPRequestHandler):
             resp = _ok(400, ValidationError(
                 f"a request body needs a Content-Length from 0 to {_MAX_BODY} "
                 "and no Transfer-Encoding").to_wire(), {"Connection": "close"})
+        self._answer(resp)
+
+    do_GET = do_POST = do_PUT = do_DELETE = _dispatch
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Answer a request the standard library refused before _dispatch as {code, message}.
+
+        An unknown method is a 405, not a 501, and an unsupported HTTP version a
+        400, not a 505: both are faults of the request.
+        """
+        status = HTTPStatus({501: 405, 505: 400}.get(code, code))
+        headers = {"Connection": "close"}
+        if status == HTTPStatus.METHOD_NOT_ALLOWED:
+            headers["Allow"] = "DELETE, GET, POST, PUT"
+        self._answer(_ok(status, {"code": re.sub(r"[^A-Za-z]", "", status.phrase),
+                                  "message": message or status.phrase}, headers))
+
+    def _answer(self, resp: ApiResponse) -> None:
+        # an explicit HTTP/0.9 request line would get neither status line nor headers
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.default_request_version
         self.send_response(resp.status)
         for key, value in resp.headers.items():
             self.send_header(key, value)  # "Connection: close" also ends the connection
         self.send_header("Content-Length", str(len(resp.body)))
         # Status line, headers and body leave in one write. A body written on
         # its own waits (Nagle) for the client's delayed ACK of the headers.
-        self._headers_buffer.append(b"\r\n" + resp.body)
+        # An answer to HEAD (refused, as no route serves it) has no body.
+        self._headers_buffer.append(b"\r\n" + (b"" if self.command == "HEAD" else resp.body))
         self.flush_headers()
-
-    do_GET = do_POST = do_PUT = do_DELETE = _dispatch
 
     def log_message(self, format: str, *args) -> None:  # quiet by default
         pass

@@ -380,6 +380,15 @@ def test_serve_on_a_port_in_use_is_a_status_line(capsys, tmp_path):
     assert error["code"] == "ScenarioError" and str(port) in error["message"]
 
 
+def test_serve_on_a_corrupt_data_file_is_a_status_line(capsys, tmp_path):
+    data_file = tmp_path / "sbo.jsonl"
+    data_file.write_text('{"kind":"create_account","at":"2025-01-01T00:00:00Z"}\n')
+    code, out, err = run_cli(capsys, "serve", "--listen", "127.0.0.1:0",
+                             "--data-file", str(data_file))
+    error = _assert_status_line(code, out, err)  # refused at boot, before it listens
+    assert error["code"] == "StoreError" and "line 1: corrupt record" in error["message"]
+
+
 def test_report_into_a_missing_directory_is_refused_before_the_run(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run-scenario", str(SCENARIOS / "priority_override.json"),
                              "--report", str(tmp_path / "missing" / "r.json"))

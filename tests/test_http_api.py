@@ -388,6 +388,35 @@ def test_bare_request_line_gets_a_whole_answer():
     assert json.loads(body)["code"] == "NotFound"
 
 
+def test_requests_the_standard_library_refuses_get_a_json_error():
+    # refused before the router runs; the method or version is outside input, " included
+    cases = [(b"BREW /v1/accounts HTTP/1.1", b"405", "MethodNotAllowed"),
+             (b'BR"EW /v1/accounts HTTP/1.1', b"405", "MethodNotAllowed"),
+             (b"GET", b"400", "BadRequest"),
+             (b"GET /v1/accounts HTTP/9.9", b"400", "BadRequest")]
+    with serving(make_service()) as server:
+        responses = [_exchange(server, line + b"\r\nHost: sbo\r\n\r\n") for line, _, _ in cases]
+        head_response = _exchange(server, b"HEAD /v1/accounts HTTP/1.1\r\nHost: sbo\r\n\r\n")
+    for (line, status, code), response in zip(cases, responses):
+        head, _, body = response.partition(b"\r\n\r\n")
+        headers = head.split(b"\r\n")
+        assert headers[0].split()[:2] == [b"HTTP/1.1", status], line
+        assert b"Content-Type: application/json" in headers and b"Connection: close" in headers
+        assert (b"Allow: DELETE, GET, POST, PUT" in headers) == (status == b"405")
+        error = json.loads(body)
+        assert error["code"] == code and error["message"], line
+    head, _, body = head_response.partition(b"\r\n\r\n")
+    assert head.split()[:2] == [b"HTTP/1.1", b"405"] and body == b""  # HEAD: no body
+
+
+def test_http_0_9_request_line_gets_a_whole_answer():
+    with serving(make_service()) as server:
+        response = _exchange(server, b"GET /v1/nowhere HTTP/0.9\r\n\r\n")
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[:2] == [b"HTTP/1.1", b"404"]
+    assert json.loads(body)["code"] == "NotFound"
+
+
 def test_connection_the_server_closed_while_idle_is_not_reused():
     with serving(make_service(pbkdf2_iterations=1)) as server:
         server.RequestHandlerClass.timeout = 0.3  # the bound class only; _Handler keeps its own

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import errno
+import json
+import os
+import stat
+import sys
 import threading
 from datetime import timedelta
 from random import Random
@@ -12,14 +17,16 @@ from sbo.errors import (
     ConflictError,
     NotFoundError,
     RuleError,
+    StoreError,
     UnauthorizedError,
     ValidationError,
 )
+from sbo.http_api import ProviderApi
 from sbo.identifiers import IdentifierKind, Strictness
 from sbo.provider import ProviderService
 from sbo.restclient import ProviderRestClient
 from sbo.rules import default_rule, render_rule
-from sbo.transport import HttpTransport
+from sbo.transport import ApiRequest, HttpTransport
 
 from .conftest import CANONICAL_RULE, CANONICAL_TEXT, FIXED_TIME, make_service, serving
 
@@ -307,12 +314,11 @@ def test_restart_tolerates_torn_final_write(tmp_path):
 
 
 def test_concurrent_exports_see_committed_snapshots_only(service):
-    """Readers hammering export while a writer mutates never observe a torn contact."""
-    import threading
-
+    """Readers hammering export and blocked_by while a writer mutates see only committed state."""
     service.create_account("bell", "x")
     token = service.issue_token("bell", "x").token
     service.create_block_list(token, "L", Strictness.MEDIUM)
+    service.add_contact(token, "L", {"EmailId": "anchor@example.com", "Username": "anchor"})
     stop = threading.Event()
     problems: list[str] = []
 
@@ -331,13 +337,179 @@ def test_concurrent_exports_see_committed_snapshots_only(service):
                 if len(contact.identifiers) != 2:  # every committed contact has both
                     problems.append(f"torn contact {contact.contact_id}")
 
+    def lookup():
+        while not stop.is_set():
+            if service.blocked_by({"EmailId": "anchor@example.com"}) != [("bell", "L")]:
+                problems.append("the anchor contact went missing")
+            if service.blocked_by({"EmailId": "nobody@example.com"}) != []:
+                problems.append("a stranger was blocked")
+
     threads = [threading.Thread(target=writer)] + \
-              [threading.Thread(target=reader) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
+              [threading.Thread(target=reader) for _ in range(3)] + \
+              [threading.Thread(target=lookup) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert problems == []
+
+
+def test_exported_identifiers_cannot_be_changed(service):
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    added = service.add_contact(token, "L", {"EmailId": "a@example.com"})
+    before = serialize_crml(service.export_crml(token), WireFormat.OBJECT)
+    exported = service.export_crml(token).block_lists[0].contacts[0]
+    for contact in (added, exported):
+        with pytest.raises(TypeError):
+            contact.identifiers[IdentifierKind.EMAIL_ID] = "b@example.com"
+    assert serialize_crml(service.export_crml(token), WireFormat.OBJECT) == before
+
+
+def _failing_once(real, error: int):
+    """A stand-in for an os function whose first call raises error and the rest pass through."""
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(error, os.strerror(error))
+        return real(*args)
+
+    return fake
+
+
+def _add_over_api(api: ProviderApi, token: str, email: str):
+    return api.handle(ApiRequest(
+        "POST", "/v1/accounts/bell/blocklists/L/contacts", {"Authorization": f"Bearer {token}"},
+        json.dumps({"identifiers": {"EmailId": email}}).encode()))
+
+
+def _emails(service: ProviderService, token: str) -> list[str]:
+    return [c.identifiers[IdentifierKind.EMAIL_ID]
+            for c in service.export_crml(token).block_lists[0].contacts]
+
+
+def test_a_write_whose_fsync_fails_is_refused_and_never_published(monkeypatch, tmp_path):
+    path = tmp_path / "sbo.jsonl"
+    service = make_service(path, pbkdf2_iterations=1)
+    api = ProviderApi(service)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM, "EmailId EQUALS")
+    assert _add_over_api(api, token, "kept@example.com").status == 201
+    doc, etag = service.export_with_digest(token)
+
+    monkeypatch.setattr(os, "fsync", _failing_once(os.fsync, errno.EIO))
+    resp = _add_over_api(api, token, "lost@example.com")
+    assert resp.status == 503 and resp.json()["code"] == "StoreUnavailable"
+    assert service.export_with_digest(token) == (doc, etag)
+    assert service.blocked_by({"EmailId": "lost@example.com"}) == []
+    # the file might still hold the failed record, so no later write may follow it
+    assert _add_over_api(api, token, "later@example.com").status == 503
+    service.close()
+
+    reborn = make_service(path, pbkdf2_iterations=1)
+    token = reborn.issue_token("bell", "x").token
+    assert _emails(reborn, token) == ["kept@example.com"]
+    assert reborn.export_with_digest(token)[1] == etag
+    reborn.close()
+
+
+def test_a_closed_durable_provider_refuses_writes(tmp_path):
+    service = make_service(tmp_path / "sbo.jsonl", pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    service.close()
+    with pytest.raises(StoreError, match="closed"):
+        service.add_contact(token, "L", {"EmailId": "a@example.com"})
+    assert service.export_crml(token).block_lists[0].contacts == ()
+
+
+def test_a_failed_compaction_keeps_the_write_and_the_live_log(monkeypatch, tmp_path):
+    path = tmp_path / "sbo.jsonl"
+    tmp = tmp_path / "sbo.jsonl.tmp"
+    service = make_service(path, snapshot_every=4, pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    service.add_contact(token, "L", {"EmailId": "a@example.com"})
+    monkeypatch.setattr(os, "replace", _failing_once(os.replace, errno.ENOSPC))
+    # the fourth mutation is due to compact, and its rename fails
+    service.add_contact(token, "L", {"EmailId": "b@example.com"})
+    assert not tmp.exists()
+    assert path.read_bytes().count(b"\n") == 4  # still the live log, not a snapshot
+    service.add_contact(token, "L", {"EmailId": "c@example.com"})  # compacts this time
+    assert path.read_bytes().count(b"\n") == 1
+    service.add_contact(token, "L", {"EmailId": "d@example.com"})
+    service.close()
+
+    tmp.write_text('{"kind":"snapshot","state":{"accounts":[]}}\n')  # left by a crash
+    reborn = make_service(path, pbkdf2_iterations=1)
+    assert not tmp.exists()
+    token = reborn.issue_token("bell", "x").token
+    assert _emails(reborn, token) == [f"{c}@example.com" for c in "abcd"]
+    reborn.close()
+
+
+def test_a_compaction_whose_directory_sync_fails_keeps_the_write_and_refuses_the_next(
+        monkeypatch, tmp_path):
+    path = tmp_path / "sbo.jsonl"
+    service = make_service(path, snapshot_every=3, pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    fsync = os.fsync
+
+    def fsync_failing_on_directories(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_on_directories)
+    # the third mutation compacts: its rename happened, but may not last a crash
+    service.add_contact(token, "L", {"EmailId": "a@example.com"})
+    with pytest.raises(StoreError):
+        service.add_contact(token, "L", {"EmailId": "b@example.com"})
+    service.close()
+    monkeypatch.undo()
+    reborn = make_service(path, pbkdf2_iterations=1)
+    assert _emails(reborn, reborn.issue_token("bell", "x").token) == ["a@example.com"]
+    reborn.close()
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    pytest.param('{"kind":"add_contact","at":', "JSONDecodeError", id="bad-json"),
+    pytest.param('{"kind":"add_contact","at":"2025-01-01T00:00:00Z","account":"bell"}',
+                 "KeyError", id="missing-field"),
+    pytest.param('{"kind":"rename_list","at":"2025-01-01T00:00:00Z","account":"bell","list":"L"}',
+                 "unknown log record kind", id="unknown-kind"),
+])
+def test_boot_refuses_a_corrupt_record_by_its_line(tmp_path, corrupt, reason):
+    path = tmp_path / "sbo.jsonl"
+    service = make_service(path, pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    service.add_contact(token, "L", {"EmailId": "a@example.com"})
+    service.close()
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + [corrupt + "\n"] + lines[2:]))
+    with pytest.raises(StoreError, match=f"line 3: corrupt record .*{reason}"):
+        make_service(path)
+
+
+def test_boot_refuses_a_data_file_it_cannot_open(tmp_path):
+    with pytest.raises(StoreError, match="cannot open the data file"):
+        make_service(tmp_path / "missing" / "sbo.jsonl")
 
 
 @pytest.mark.parametrize("ttl", [0, 10**9 + 1, 10**12])
