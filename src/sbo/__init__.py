@@ -20,11 +20,9 @@ from .client import (
 from .crml import (
     BlockListRecord,
     CRMLDocument,
-    Violation,
     WireFormat,
     parse_crml,
     serialize_crml,
-    validate_document,
 )
 from .identifiers import (
     ContactRecord,
@@ -56,9 +54,9 @@ __all__ = [
     "ImageHash", "IntegrationConfig", "IntegrationMethod", "LoginBlockReport",
     "Manual", "MatchResult", "MatchThresholds", "OnLogin", "Operator", "Periodic",
     "PerRequest", "Profile", "ProviderService", "RefreshPolicy", "ScenarioReport",
-    "Strictness", "Trigger", "Violation", "WireFormat", "average_hash",
+    "Strictness", "Trigger", "WireFormat", "average_hash",
     "default_rule", "evaluate_rule", "image_distance", "levenshtein",
     "normalize_identifier", "parse_crml", "parse_rule", "render_rule",
     "resolve_integration", "run_scenario", "serialize_crml", "should_refresh",
-    "text_similarity", "validate_document",
+    "text_similarity",
 ]

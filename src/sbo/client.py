@@ -62,7 +62,7 @@ class Periodic:
     interval_seconds: float
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0:
+        if not self.interval_seconds > 0:  # also refuses NaN
             raise ValueError("Periodic interval must be > 0")
 
 

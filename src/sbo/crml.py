@@ -4,8 +4,9 @@ One schema, two encodings. The object format is JSON; the markup format uses
 tags whose names equal the object-format keys (no attributes): an object is
 its keys as child elements, a list is a container of items tagged by
 _ITEM_TAGS, and a string is element text. Both parse into the same document
-model and share one validator, and serialization is deterministic: a given
-document always yields byte-identical text.
+model through one decoder, which is also the only validator, and
+serialization is deterministic: a given document always yields
+byte-identical text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .identifiers import (
     IdentifierValue,
     ImageHash,
     Strictness,
-    check_value_shape,
 )
 from .rules import cached_parse_rule
 
@@ -87,48 +87,6 @@ class CRMLDocument:
         at = at.astimezone(timezone.utc).replace(microsecond=0)
         object.__setattr__(self, "issued_at", at)
         object.__setattr__(self, "block_lists", tuple(self.block_lists))
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A machine-readable invariant failure with a path to the offending element."""
-
-    code: str
-    path: str
-
-
-def validate_document(doc: CRMLDocument) -> list[Violation]:
-    """Return every invariant violation in the document; empty list iff valid."""
-    found: list[Violation] = []
-    if doc.crml_version != CRML_VERSION:
-        found.append(Violation("BadVersion", "crml_version"))
-    if not doc.provider:
-        found.append(Violation("EmptyProvider", "provider"))
-    if not doc.account:
-        found.append(Violation("EmptyAccount", "account"))
-    seen_names: set[str] = set()
-    for i, block_list in enumerate(doc.block_lists):
-        list_path = f"block_lists[{i}]"
-        if block_list.name in seen_names:
-            found.append(Violation("DuplicateListName", list_path))
-        seen_names.add(block_list.name)
-        try:
-            cached_parse_rule(block_list.rule_text)
-        except ParseError:
-            found.append(Violation("BadRuleText", f"{list_path}.rule_text"))
-        seen_ids: set[str] = set()
-        for j, contact in enumerate(block_list.contacts):
-            contact_path = f"{list_path}.contacts[{j}]"
-            if contact.contact_id in seen_ids:
-                found.append(Violation("DuplicateContactId", contact_path))
-            seen_ids.add(contact.contact_id)
-            if not contact.identifiers:
-                found.append(Violation("EmptyIdentifierSet", f"{contact_path}.identifiers"))
-            for kind, value in contact.identifiers.items():
-                if not check_value_shape(kind, value):
-                    found.append(Violation(
-                        "WrongValueShape", f"{contact_path}.identifiers.{kind.value}"))
-    return found
 
 
 # --- shared raw tree: the object-format shape, used by both encodings ---
@@ -209,36 +167,51 @@ def encode_identifier_map(identifiers: IdentifierMap) -> dict:
 
 
 def decode_contact(raw: object, path: str) -> ContactRecord:
-    """Decode a wire-shaped contact, naming path in errors."""
+    """Decode a wire-shaped contact with at least one identifier, naming path in errors."""
     if not isinstance(raw, dict):
         raise SchemaError(f"expected an object at {path}")
     _require_keys(raw, _CONTACT_KEYS, path)
-    return ContactRecord(
-        contact_id=_require_str(raw["contact_id"], f"{path}.contact_id"),
-        identifiers=parse_identifier_map(raw["identifiers"], f"{path}.identifiers"),
-    )
+    identifiers = parse_identifier_map(raw["identifiers"], f"{path}.identifiers")
+    if not identifiers:
+        raise SchemaError(f"empty identifier set at {path}.identifiers")
+    return ContactRecord(_require_str(raw["contact_id"], f"{path}.contact_id"), identifiers)
+
+
+def check_rule(rule_text: str, list_name: str) -> str:
+    """rule_text if it parses under the rule grammar; else a RuleError naming the list."""
+    try:
+        cached_parse_rule(rule_text)
+    except ParseError as exc:
+        raise RuleError(f"rule text of list {list_name!r} fails the grammar: {exc}",
+                        list_name=list_name) from exc
+    return rule_text
 
 
 def decode_block_list(raw: object, path: str) -> BlockListRecord:
-    """Decode a wire-shaped block list (rule grammar unchecked), naming path in errors."""
+    """Decode a wire-shaped block list with unique contact ids and a valid rule.
+
+    Shape errors name path (SchemaError); bad rule text names the list (RuleError).
+    """
     if not isinstance(raw, dict):
         raise SchemaError(f"expected an object at {path}")
     _require_keys(raw, _LIST_KEYS, path)
+    name = _require_str(raw["name"], f"{path}.name")
     strictness_raw = _require_str(raw["strictness"], f"{path}.strictness")
     try:
         strictness = Strictness(strictness_raw)
     except ValueError:
         raise SchemaError(f"unknown strictness {strictness_raw!r} at {path}") from None
+    rule_text = check_rule(_require_str(raw["rule_text"], f"{path}.rule_text"), name)
     if not isinstance(raw["contacts"], list):
         raise SchemaError(f"expected a list at {path}.contacts")
-    contacts = tuple(decode_contact(c, f"{path}.contacts[{j}]")
-                     for j, c in enumerate(raw["contacts"]))
-    return BlockListRecord(
-        name=_require_str(raw["name"], f"{path}.name"),
-        strictness=strictness,
-        rule_text=_require_str(raw["rule_text"], f"{path}.rule_text"),
-        contacts=contacts,
-    )
+    contacts: dict[str, ContactRecord] = {}
+    for j, raw_contact in enumerate(raw["contacts"]):
+        contact = decode_contact(raw_contact, f"{path}.contacts[{j}]")
+        if contact.contact_id in contacts:
+            raise SchemaError(f"duplicate contact id {contact.contact_id!r} "
+                              f"at {path}.contacts[{j}]")
+        contacts[contact.contact_id] = contact
+    return BlockListRecord(name, strictness, rule_text, tuple(contacts.values()))
 
 
 def _raw_to_doc(raw: object) -> CRMLDocument:
@@ -248,32 +221,23 @@ def _raw_to_doc(raw: object) -> CRMLDocument:
     version = _require_str(raw["crml_version"], "crml_version")
     if version != CRML_VERSION:
         raise SchemaError(f"unsupported crml_version {version!r}")
+    provider = _require_str(raw["provider"], "provider")
+    account = _require_str(raw["account"], "account")
+    if not provider or not account:
+        raise SchemaError("provider and account must be non-empty")
     try:
         issued_at = parse_timestamp(_require_str(raw["issued_at"], "issued_at"))
     except ValueError as exc:
         raise SchemaError(f"bad issued_at: {exc}") from exc
     if not isinstance(raw["block_lists"], list):
         raise SchemaError("expected a list at block_lists")
-    block_lists = tuple(decode_block_list(raw_list, f"block_lists[{i}]")
-                        for i, raw_list in enumerate(raw["block_lists"]))
-    doc = CRMLDocument(
-        crml_version=version,
-        provider=_require_str(raw["provider"], "provider"),
-        account=_require_str(raw["account"], "account"),
-        issued_at=issued_at,
-        block_lists=block_lists,
-    )
-    violations = validate_document(doc)
-    rule_violations = [v for v in violations if v.code == "BadRuleText"]
-    others = [v for v in violations if v.code != "BadRuleText"]
-    if others:
-        details = "; ".join(f"{v.code} at {v.path}" for v in others)
-        raise SchemaError(f"invalid document: {details}")
-    if rule_violations:
-        index = int(rule_violations[0].path.split("[")[1].split("]")[0])
-        name = doc.block_lists[index].name
-        raise RuleError(f"rule text of list {name!r} fails the grammar", list_name=name)
-    return doc
+    block_lists: dict[str, BlockListRecord] = {}
+    for i, raw_list in enumerate(raw["block_lists"]):
+        block_list = decode_block_list(raw_list, f"block_lists[{i}]")
+        if block_list.name in block_lists:
+            raise SchemaError(f"duplicate list name {block_list.name!r} at block_lists[{i}]")
+        block_lists[block_list.name] = block_list
+    return CRMLDocument(version, provider, account, issued_at, tuple(block_lists.values()))
 
 
 # --- object format (JSON) ---
@@ -366,8 +330,10 @@ def parse_crml(text: str, format: WireFormat) -> CRMLDocument:
     """Parse wire text in the named encoding into a validated document.
 
     Raises CRMLSyntaxError (malformed encoding, position reported), SchemaError
-    (missing/unknown field, bad version, duplicate names), or RuleError (a
-    list's rule_text fails the grammar; the offending list is named).
+    (missing/unknown field, bad version, empty provider or account, duplicate
+    list names or contact ids, an empty identifier set), or RuleError (a list's
+    rule_text fails the grammar; the offending list is named). The first fault
+    met while decoding is the one reported.
     """
     if format is WireFormat.OBJECT:
         return _raw_to_doc(_parse_object(text))

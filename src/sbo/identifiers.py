@@ -85,7 +85,8 @@ _NON_DIGIT = re.compile(r"\D")
 def normalize_identifier(kind: IdentifierKind, raw: str) -> str:
     """Normalize a textual identifier value for matching.
 
-    Raises NormalizeError if an Age value contains non-digits after trimming.
+    Raises NormalizeError if an Age value holds anything but decimal digits after
+    trimming (a superscript or circled digit is not one: int() refuses it).
     """
     if kind is IdentifierKind.PROFILE_IMAGE:
         raise ValueError("ProfileImage values are hashes, not text")
@@ -99,7 +100,7 @@ def normalize_identifier(kind: IdentifierKind, raw: str) -> str:
         return raw.strip().lower()
     if kind is IdentifierKind.AGE:
         trimmed = raw.strip()
-        if not trimmed.isdigit():
+        if not trimmed.isdecimal():
             raise NormalizeError(f"Age value is not a non-negative integer: {raw!r}")
         return trimmed
     # FullName, Location, Biodata: trim, collapse internal whitespace, lowercase.
@@ -112,9 +113,3 @@ def normalize_value(kind: IdentifierKind, value: IdentifierValue) -> IdentifierV
         return value
     return normalize_identifier(kind, value)
 
-
-def check_value_shape(kind: IdentifierKind, value: IdentifierValue) -> bool:
-    """True iff the value carries the shape its kind requires."""
-    if kind is IdentifierKind.PROFILE_IMAGE:
-        return isinstance(value, ImageHash)
-    return isinstance(value, str)

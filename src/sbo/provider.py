@@ -3,8 +3,11 @@
 State is one immutable value (read-copy-update). Under the one lock a writer
 builds the next state with ``_apply``, appends and fsyncs the mutation record
 to a JSONL log with periodic snapshot compaction, and only then publishes the
-state; boot replays the log through ``_apply`` too. Readers load the
-published reference once and take no lock. Identifiers are stored normalized.
+state; boot replays the log through ``_apply`` too, and restores a snapshot
+through the helpers ``_apply`` uses, so one set of checks decides what state
+may hold, whether it comes from a caller or from the data file. Readers load
+the published reference once and take no lock. Identifiers are stored
+normalized.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import contextlib
 import hashlib
 import hmac
 import json
+import math
 import os
 import secrets
 import threading
@@ -28,7 +32,9 @@ from .crml import (
     BlockListRecord,
     CRMLDocument,
     CRML_VERSION,
+    check_rule,
     decode_block_list,
+    decode_contact,
     encode_block_list,
     encode_contact,
     format_timestamp,
@@ -40,8 +46,7 @@ from .errors import (
     EvalError,
     NormalizeError,
     NotFoundError,
-    ParseError,
-    RuleError,
+    SBOError,
     SchemaError,
     StoreError,
     UnauthorizedError,
@@ -65,6 +70,8 @@ from .rules import (
 )
 
 MAX_TOKEN_TTL_SECONDS = 10**9
+# a few seconds of hashing per login; a corrupt count could otherwise hash for days
+MAX_PBKDF2_ITERATIONS = 10**7
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,8 @@ class ProviderService:
         self.token_ttl_seconds = token_ttl_seconds
         self._clock = clock
         self._token_rng = token_rng
-        self._iterations = pbkdf2_iterations
+        self._iterations = _count(pbkdf2_iterations, "pbkdf2_iterations",
+                                  MAX_PBKDF2_ITERATIONS)
         self._snapshot_every = snapshot_every
         self._lock = threading.Lock()  # serializes writers; readers never take it
         # the published state and token table: only a writer replaces them
@@ -155,22 +163,18 @@ class ProviderService:
             raise ValidationError("account_name must be non-empty")
         if not secret:
             raise ValidationError("secret must be non-empty")
-        self._check_new_account(account_name)
+        if account_name in self._accounts:  # before PBKDF2 spends milliseconds on it
+            raise ConflictError(f"account {account_name!r} already exists")
         salt = self._random_bytes(16)
-        # PBKDF2 takes milliseconds: hash outside the lock, then check the name again
+        # hash outside the lock; _apply refuses the name if another caller took it meanwhile
         digest = self._hash_secret(secret, salt, self._iterations)
         with self._lock:
-            self._check_new_account(account_name)
             self._commit({
                 "kind": "create_account", "at": self._now_iso(), "account": account_name,
                 "salt": salt.hex(), "credential_hash": digest.hex(),
                 "iterations": self._iterations,
             })
             return account_name
-
-    def _check_new_account(self, account_name: str) -> None:
-        if account_name in self._accounts:
-            raise ConflictError(f"account {account_name!r} already exists")
 
     def issue_token(self, account_name: str, secret: str) -> TokenGrant:
         # accounts are never removed and their credentials never change, so the
@@ -210,12 +214,8 @@ class ProviderService:
             account = self._authorize(token, account_name)
             if not name:
                 raise ValidationError("list name must be non-empty")
-            if name in account.lists:
-                raise ConflictError(f"block list {name!r} already exists")
             if rule_text is None:
                 rule_text = render_rule(default_rule())
-            else:
-                self._check_rule(rule_text, name)
             accounts = self._commit({
                 "kind": "create_block_list", "at": self._now_iso(), "account": account.name,
                 "name": name, "strictness": strictness.value, "rule_text": rule_text,
@@ -226,12 +226,12 @@ class ProviderService:
                     account_name: str | None = None) -> ContactRecord:
         with self._lock:
             account = self._authorize(token, account_name)
-            stored = self._find_list(account, list_name)
             normalized = self._normalize_bag(identifiers)
             if not normalized:
                 raise ValidationError("at least one identifier is required",
                                       path="identifiers")
-            contact_id = f"c-{stored.next_contact_seq:03d}"
+            stored = account.lists.get(list_name)  # a missing list is _apply's NotFoundError
+            contact_id = f"c-{1 if stored is None else stored.next_contact_seq:03d}"
             accounts = self._commit({
                 "kind": "add_contact", "at": self._now_iso(), "account": account.name,
                 "list": list_name, **encode_contact(ContactRecord(contact_id, normalized)),
@@ -242,9 +242,6 @@ class ProviderService:
                        account_name: str | None = None) -> None:
         with self._lock:
             account = self._authorize(token, account_name)
-            stored = self._find_list(account, list_name)
-            if contact_id not in stored.contacts:
-                raise NotFoundError(f"no contact {contact_id!r} in {list_name!r}")
             self._commit({
                 "kind": "remove_contact", "at": self._now_iso(), "account": account.name,
                 "list": list_name, "contact_id": contact_id,
@@ -254,8 +251,6 @@ class ProviderService:
                  account_name: str | None = None) -> None:
         with self._lock:
             account = self._authorize(token, account_name)
-            self._find_list(account, list_name)
-            self._check_rule(rule_text, list_name)
             self._commit({
                 "kind": "set_rule", "at": self._now_iso(), "account": account.name,
                 "list": list_name, "rule_text": rule_text,
@@ -400,29 +395,16 @@ class ProviderService:
         except NormalizeError as exc:
             raise ValidationError(str(exc)) from exc
 
-    def _check_rule(self, rule_text: str, list_name: str) -> None:
-        try:
-            cached_parse_rule(rule_text)
-        except ParseError as exc:
-            raise RuleError(f"list {list_name!r}: {exc}", list_name=list_name) from exc
-
-    @staticmethod
-    def _find_list(account: _Account, list_name: str) -> _StoredList:
-        stored = account.lists.get(list_name)
-        if stored is None:
-            raise NotFoundError(f"unknown block list {list_name!r}")
-        return stored
-
     @staticmethod
     def _select_lists(account: _Account,
                       list_names: Iterable[str] | None) -> list[_StoredList]:
         if list_names is None:
             return list(account.lists.values())
-        wanted = list(list_names)
+        wanted = dict.fromkeys(list_names)  # in the caller's order, for the first unknown
         for name in wanted:
             if name not in account.lists:
                 raise NotFoundError(f"unknown block list {name!r}")
-        return [s for s in account.lists.values() if s.name in set(wanted)]
+        return [s for s in account.lists.values() if s.name in wanted]
 
     @staticmethod
     def _hash_secret(secret: str, salt: bytes, iterations: int) -> bytes:
@@ -437,44 +419,97 @@ class ProviderService:
         return format_timestamp(self._clock())
 
 
-# --- state transitions (shared by live calls and log replay) ---
+# --- state transitions (shared by live calls, log replay and snapshot restore) ---
 
 def _apply(accounts: _State, record: dict) -> _State:
-    """The state after one record; only the touched account, list and contacts are copied."""
+    """The state after one record; only the touched account, list and contacts are copied.
+
+    The conflict, existence, rule and field checks on state are made here or in
+    the helpers below, so what the live path refuses is refused at boot too: a
+    taken name, a missing list or contact, a repeated contact id, bad rule text
+    or a field of the wrong type or range.
+    """
     kind = record["kind"]
     if kind == "create_account":
-        name = record["account"]
-        return {**accounts, name: _Account(name, bytes.fromhex(record["salt"]),
-                                           bytes.fromhex(record["credential_hash"]),
-                                           record["iterations"], {})}
+        accounts = dict(accounts)
+        _put_account(accounts, record["account"], record["salt"], record["credential_hash"],
+                     record["iterations"], {})
+        return accounts
     account = accounts[record["account"]]
+    lists = dict(account.lists)
     if kind == "create_block_list":
-        stored = _StoredList(
-            name=record["name"], strictness=Strictness(record["strictness"]),
-            rule_text=record["rule_text"], updated_at=parse_timestamp(record["at"]),
-            contacts={})
+        raw_list = {"name": record["name"], "strictness": record["strictness"],
+                    "rule_text": record["rule_text"], "contacts": []}
+        _put_list(lists, decode_block_list(raw_list, kind), parse_timestamp(record["at"]))
+        return {**accounts, account.name: replace(account, lists=lists)}
+    stored = lists.get(record["list"])
+    if stored is None:
+        raise NotFoundError(f"unknown block list {record['list']!r}")
+    changes = {}
+    if kind == "add_contact":
+        raw_contact = {"contact_id": record["contact_id"], "identifiers": record["identifiers"]}
+        contact = decode_contact(raw_contact, kind)
+        if contact.contact_id in stored.contacts:
+            raise ConflictError(f"contact {contact.contact_id!r} already exists in "
+                                f"{stored.name!r}")
+        changes["contacts"] = {**stored.contacts, contact.contact_id: _stored_contact(contact)}
+        changes["next_contact_seq"] = max(stored.next_contact_seq,
+                                          _contact_seq(contact.contact_id)) + 1
+    elif kind == "remove_contact":
+        contact_id = record["contact_id"]
+        if contact_id not in stored.contacts:
+            raise NotFoundError(f"no contact {contact_id!r} in {stored.name!r}")
+        contacts = dict(stored.contacts)
+        del contacts[contact_id]
+        changes["contacts"] = contacts
+    elif kind == "set_rule":
+        changes["rule_text"] = check_rule(record["rule_text"], stored.name)
     else:
-        stored = account.lists[record["list"]]
-        changes = {}
-        if kind == "add_contact":
-            contact_id = record["contact_id"]
-            identifiers = MappingProxyType(parse_identifier_map(record["identifiers"]))
-            changes["contacts"] = {**stored.contacts,
-                                   contact_id: ContactRecord(contact_id, identifiers)}
-            seq = int(contact_id[len("c-"):])
-            changes["next_contact_seq"] = max(stored.next_contact_seq, seq) + 1
-        elif kind == "remove_contact":
-            contacts = dict(stored.contacts)
-            del contacts[record["contact_id"]]
-            changes["contacts"] = contacts
-        elif kind == "set_rule":
-            changes["rule_text"] = record["rule_text"]
-        else:
-            raise ValueError(f"unknown log record kind {kind!r}")
-        stored = replace(stored, **changes, revision=stored.revision + 1,
-                         updated_at=parse_timestamp(record["at"]))
-    lists = {**account.lists, stored.name: stored}
+        raise ValueError(f"unknown log record kind {kind!r}")
+    lists[stored.name] = replace(stored, **changes, revision=stored.revision + 1,
+                                 updated_at=parse_timestamp(record["at"]))
     return {**accounts, account.name: replace(account, lists=lists)}
+
+
+def _put_account(accounts: dict[str, _Account], name: str, salt: str, credential_hash: str,
+                 iterations: int, lists: Mapping[str, _StoredList]) -> None:
+    """Add an account to accounts, refusing a taken name or an iteration count out of range."""
+    if name in accounts:
+        raise ConflictError(f"account {name!r} already exists")
+    accounts[name] = _Account(name, bytes.fromhex(salt), bytes.fromhex(credential_hash),
+                              _count(iterations, "iterations", MAX_PBKDF2_ITERATIONS), lists)
+
+
+def _put_list(lists: dict[str, _StoredList], block_list: BlockListRecord, updated_at: datetime,
+              revision: int = 1, next_contact_seq: int = 1) -> None:
+    """Add a decoded list to lists, refusing a taken name, a count below 1, or a
+    next contact number that would hand out the id of a contact it holds."""
+    if block_list.name in lists:
+        raise ConflictError(f"block list {block_list.name!r} already exists")
+    _count(next_contact_seq, "next_contact_seq")
+    if any(_contact_seq(c.contact_id) >= next_contact_seq for c in block_list.contacts):
+        raise ValueError(f"next_contact_seq {next_contact_seq} is not above every contact's")
+    lists[block_list.name] = _StoredList(
+        block_list.name, block_list.strictness, block_list.rule_text, updated_at,
+        {c.contact_id: _stored_contact(c) for c in block_list.contacts},
+        _count(revision, "revision"), next_contact_seq)
+
+
+def _stored_contact(contact: ContactRecord) -> ContactRecord:
+    """The contact with its identifiers made read-only, as state holds it."""
+    return ContactRecord(contact.contact_id, MappingProxyType(contact.identifiers))
+
+
+def _contact_seq(contact_id: str) -> int:
+    """The number in a contact id of the form c-NNN."""
+    return int(contact_id[len("c-"):])
+
+
+def _count(value: object, field: str, most: float = math.inf) -> int:
+    """value if it is an int from 1 to most; a ValueError otherwise."""
+    if type(value) is not int or not 1 <= value <= most:
+        raise ValueError(f"{field} must be an integer from 1 to {most}, got {value!r}")
+    return value
 
 
 def _wire_list(stored: _StoredList) -> BlockListRecord:
@@ -515,23 +550,19 @@ def _state_snapshot(accounts: _State) -> dict:
 
 
 def _restore_snapshot(state: dict) -> _State:
-    accounts = {}
+    accounts: dict[str, _Account] = {}
     for raw_account in state["accounts"]:
         name = raw_account["account_name"]
-        lists = {}
+        lists: dict[str, _StoredList] = {}
         for j, raw_list in enumerate(raw_account["lists"]):
             raw_list = dict(raw_list)
             revision = raw_list.pop("revision")
             updated_at = parse_timestamp(raw_list.pop("updated_at"))
             next_contact_seq = raw_list.pop("next_contact_seq")
-            record = decode_block_list(raw_list, f"{name}.lists[{j}]")
-            lists[record.name] = _StoredList(
-                record.name, record.strictness, record.rule_text, updated_at,
-                {c.contact_id: ContactRecord(c.contact_id, MappingProxyType(c.identifiers))
-                 for c in record.contacts}, revision, next_contact_seq)
-        accounts[name] = _Account(name, bytes.fromhex(raw_account["salt"]),
-                                  bytes.fromhex(raw_account["credential_hash"]),
-                                  raw_account["iterations"], lists)
+            _put_list(lists, decode_block_list(raw_list, f"{name}.lists[{j}]"), updated_at,
+                      revision, next_contact_seq)
+        _put_account(accounts, name, raw_account["salt"], raw_account["credential_hash"],
+                     raw_account["iterations"], lists)
     return accounts
 
 
@@ -561,7 +592,7 @@ def _load(data_path: Path) -> _State:
                 accounts = _restore_snapshot(record["state"])
             else:
                 accounts = _apply(accounts, record)
-        except (ValueError, LookupError, TypeError, SchemaError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError, SBOError) as exc:
             raise StoreError(f"{data_path} line {number}: corrupt record "
                              f"({type(exc).__name__}: {exc})") from exc
     return accounts

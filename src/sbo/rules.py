@@ -119,7 +119,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("LPAREN", lexeme, pos))
         elif lexeme == ")":
             tokens.append(_Token("RPAREN", lexeme, pos))
-        elif lexeme.isdigit():
+        elif lexeme.isdecimal():  # int() refuses '²', which isdigit() passes
             tokens.append(_Token("INT", lexeme, pos))
         elif lexeme.isalpha():
             tokens.append(_Token("WORD", lexeme, pos))

@@ -158,8 +158,9 @@ def test_periodic_interval_arithmetic():
 
 
 def test_periodic_rejects_nonpositive_interval():
-    with pytest.raises(ValueError):
-        Periodic(0)
+    for interval in (0, float("nan")):  # NaN <= 0 is false, and NaN never elapses
+        with pytest.raises(ValueError):
+            Periodic(interval)
 
 
 # --- fetching and merging ---

@@ -13,11 +13,9 @@ import pytest
 from sbo.crml import (
     BlockListRecord,
     CRMLDocument,
-    Violation,
     WireFormat,
     parse_crml,
     serialize_crml,
-    validate_document,
 )
 from sbo.errors import CRMLSyntaxError, RuleError, SchemaError
 from sbo.identifiers import ContactRecord, IdentifierKind as K, ImageHash, Strictness
@@ -192,8 +190,11 @@ def test_rule_error_names_offending_list():
     assert err.value.list_name == "Block List 1"
 
 
-def test_validate_canonical_is_clean(canonical_doc):
-    assert validate_document(canonical_doc) == []
+def _refused_in_both_formats(doc: CRMLDocument, error: type = SchemaError) -> None:
+    """Serialization writes any document; parsing its text in either format must refuse it."""
+    for fmt in WireFormat:
+        with pytest.raises(error):
+            parse_crml(serialize_crml(doc, fmt), fmt)
 
 
 def test_validate_duplicate_list_name(canonical_doc):
@@ -201,7 +202,7 @@ def test_validate_duplicate_list_name(canonical_doc):
         canonical_doc.crml_version, canonical_doc.provider, canonical_doc.account,
         canonical_doc.issued_at,
         canonical_doc.block_lists + canonical_doc.block_lists)
-    assert Violation("DuplicateListName", "block_lists[1]") in validate_document(doc)
+    _refused_in_both_formats(doc)
 
 
 def test_validate_empty_identifier_set():
@@ -209,9 +210,7 @@ def test_validate_empty_identifier_set():
         "1.0", "p", "a", datetime(2025, 1, 1, tzinfo=timezone.utc),
         (BlockListRecord("L", Strictness.MEDIUM, "EmailId EQUALS",
                          (ContactRecord("c-001", {}),)),))
-    violations = validate_document(doc)
-    assert Violation("EmptyIdentifierSet", "block_lists[0].contacts[0].identifiers") \
-        in violations
+    _refused_in_both_formats(doc)
 
 
 def test_validate_duplicate_contact_id():
@@ -219,8 +218,7 @@ def test_validate_duplicate_contact_id():
     doc = CRMLDocument(
         "1.0", "p", "a", datetime(2025, 1, 1, tzinfo=timezone.utc),
         (BlockListRecord("L", Strictness.MEDIUM, "EmailId EQUALS", (contact, contact)),))
-    assert Violation("DuplicateContactId", "block_lists[0].contacts[1]") \
-        in validate_document(doc)
+    _refused_in_both_formats(doc)
 
 
 def test_validate_wrong_value_shape():
@@ -228,14 +226,14 @@ def test_validate_wrong_value_shape():
         "1.0", "p", "a", datetime(2025, 1, 1, tzinfo=timezone.utc),
         (BlockListRecord("L", Strictness.MEDIUM, "EmailId EQUALS",
                          (ContactRecord("c-001", {K.PROFILE_IMAGE: "not-a-hash"}),)),))
-    codes = {v.code for v in validate_document(doc)}
-    assert "WrongValueShape" in codes
+    _refused_in_both_formats(doc)
 
 
 def test_validate_empty_provider_account_and_version():
-    doc = CRMLDocument("3.0", "", "", datetime(2025, 1, 1, tzinfo=timezone.utc), ())
-    codes = {v.code for v in validate_document(doc)}
-    assert codes == {"BadVersion", "EmptyProvider", "EmptyAccount"}
+    at = datetime(2025, 1, 1, tzinfo=timezone.utc)
+    for doc in (CRMLDocument("3.0", "p", "a", at, ()), CRMLDocument("1.0", "", "a", at, ()),
+                CRMLDocument("1.0", "p", "", at, ())):
+        _refused_in_both_formats(doc)
 
 
 def _corruptions(raw: dict):
@@ -257,6 +255,8 @@ def _corruptions(raw: dict):
         unknown_kind = json.loads(json.dumps(raw))
         unknown_kind["block_lists"][0]["contacts"][0]["identifiers"]["ShoeSize"] = "42"
         yield "unknown kind", unknown_kind
+    for key in ("provider", "account"):
+        yield f"empty {key}", {**raw, key: ""}
     bad_extra = json.loads(json.dumps(raw))
     bad_extra["surprise"] = 1
     yield "unknown top-level field", bad_extra

@@ -91,6 +91,18 @@ def test_rule_error_carries_position_info(api):
     assert body["path"] == "L"
 
 
+def test_blocked_by_treats_a_superscript_age_as_no_match(api):
+    _post(api, "/v1/accounts", {"account_name": "bell", "secret": "x"})
+    token = _post(api, "/v1/tokens", {"account_name": "bell", "secret": "x"}).json()["token"]
+    _post(api, "/v1/accounts/bell/blocklists",
+          {"name": "L", "strictness": "Medium", "rule_text": "Age GREATERTHAN 18"}, token)
+    _post(api, "/v1/accounts/bell/blocklists/L/contacts",
+          {"identifiers": {"Age": "30"}}, token)
+    for age in ("²", "①"):  # str.isdigit() passes them, int() refuses them
+        resp = _post(api, "/v1/blocked-by", {"identifiers": {"Age": age}})
+        assert resp.status == 200 and resp.json() == {"blockers": []}
+
+
 def test_percent_encoded_paths(api):
     _post(api, "/v1/accounts", {"account_name": "bell", "secret": "x"})
     token = _post(api, "/v1/tokens", {"account_name": "bell", "secret": "x"}).json()["token"]

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
+import re
 import stat
 import sys
+import tempfile
 import threading
 from datetime import timedelta
+from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sbo.provider
 from sbo.crml import WireFormat, serialize_crml
@@ -28,7 +34,14 @@ from sbo.restclient import ProviderRestClient
 from sbo.rules import default_rule, render_rule
 from sbo.transport import ApiRequest, HttpTransport
 
-from .conftest import CANONICAL_RULE, CANONICAL_TEXT, FIXED_TIME, make_service, serving
+from .conftest import (
+    CANONICAL_RULE,
+    CANONICAL_TEXT,
+    FIXED_TIME,
+    break_one_field,
+    make_service,
+    serving,
+)
 
 # the canonical document after provider-side normalization of contact values
 CANONICAL_EXPORT = CANONICAL_TEXT.replace('"John Smith"', '"john smith"')
@@ -198,6 +211,8 @@ def test_every_mutation_changes_digest(service):
     token = service.issue_token("bell", "x").token
     service.create_block_list(token, "L", Strictness.MEDIUM)
     seen = {service.export_with_digest(token)[1]}
+    service.create_block_list(token, "M", Strictness.MEDIUM)
+    seen.add(service.export_with_digest(token)[1])
     service.add_contact(token, "L", {"Username": "a"})
     seen.add(service.export_with_digest(token)[1])
     rule = "EmailId EQUALS"
@@ -207,7 +222,7 @@ def test_every_mutation_changes_digest(service):
     seen.add(service.export_with_digest(token)[1])
     service.remove_contact(token, "L", "c-001")
     seen.add(service.export_with_digest(token)[1])
-    assert len(seen) == 5
+    assert len(seen) == 6
 
 
 def test_token_scoping_is_exhaustive(service):
@@ -492,6 +507,13 @@ def test_a_compaction_whose_directory_sync_fails_keeps_the_write_and_refuses_the
                  "KeyError", id="missing-field"),
     pytest.param('{"kind":"rename_list","at":"2025-01-01T00:00:00Z","account":"bell","list":"L"}',
                  "unknown log record kind", id="unknown-kind"),
+    pytest.param('{"kind":"create_account","at":"2025-01-01T00:00:00Z","account":"eve",'
+                 '"salt":"00","credential_hash":"00","iterations":"x"}',
+                 "iterations must be an integer", id="string-iterations"),
+    pytest.param('{"kind":"create_block_list","at":"2025-01-01T00:00:00Z","account":"bell",'
+                 '"name":"M","strictness":"Medium","rule_text":"((("}',
+                 "RuleError", id="bad-rule-text"),
+    pytest.param("[" * 100_000, "RecursionError", id="deep-nesting"),
 ])
 def test_boot_refuses_a_corrupt_record_by_its_line(tmp_path, corrupt, reason):
     path = tmp_path / "sbo.jsonl"
@@ -505,6 +527,120 @@ def test_boot_refuses_a_corrupt_record_by_its_line(tmp_path, corrupt, reason):
     path.write_text("".join(lines[:2] + [corrupt + "\n"] + lines[2:]))
     with pytest.raises(StoreError, match=f"line 3: corrupt record .*{reason}"):
         make_service(path)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("revision", "x", "revision must be an integer"),
+    ("iterations", 0, "iterations must be an integer"),
+    ("rule_text", "", "RuleError"),
+    # c-001 is held: the next add_contact would reuse its id
+    ("next_contact_seq", 1, "next_contact_seq 1 is not above"),
+])
+def test_boot_refuses_a_snapshot_field_the_live_path_never_writes(tmp_path, field, value,
+                                                                   reason):
+    path = tmp_path / "sbo.jsonl"
+    service = make_service(path, snapshot_every=3, pbkdf2_iterations=1)
+    service.create_account("bell", "x")
+    token = service.issue_token("bell", "x").token
+    service.create_block_list(token, "L", Strictness.MEDIUM)
+    service.add_contact(token, "L", {"EmailId": "a@example.com"})  # compacts
+    service.close()
+    snapshot = json.loads(path.read_text())
+    account = snapshot["state"]["accounts"][0]
+    (account if field == "iterations" else account["lists"][0])[field] = value
+    path.write_text(json.dumps(snapshot) + "\n")
+    with pytest.raises(StoreError, match=f"line 1: corrupt record .*{reason}"):
+        make_service(path)
+
+
+def _one_iteration_pbkdf2(secret: str, salt: bytes, iterations: int) -> bytes:
+    """PBKDF2 at one iteration that refuses an iteration count PBKDF2 itself would refuse."""
+    return hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, min(iterations, 1))
+
+
+def _write_valid_data_file(path: Path) -> list[bytes]:
+    """A data file of one snapshot and the records after it; returns its lines.
+
+    The records after the snapshot change list L and leave list M as the snapshot holds it.
+    """
+    service = make_service(path, snapshot_every=6)
+    service.create_account("bell", "x")
+    bell = service.issue_token("bell", "x").token
+    service.create_block_list(bell, "L", Strictness.MEDIUM,
+                              "Age GREATERTHAN 17 OR Username MATCHES")
+    service.add_contact(bell, "L", {"Username": "mallory", "Age": "30"})
+    service.add_contact(bell, "L", {"ProfileImage": {"phash64": "00ff00ff00ff00ff"},
+                                    "EmailId": "m@example.com"})
+    service.create_block_list(bell, "M", Strictness.STRICT)
+    service.add_contact(bell, "M", {"EmailId": "t@example.com"})  # the sixth mutation compacts
+    service.create_account("eve", "y")
+    eve = service.issue_token("eve", "y").token
+    service.create_block_list(eve, "E", Strictness.LENIENT, "FullName FUZZYMATCHES")
+    service.add_contact(eve, "E", {"FullName": "Trudy Jones"})
+    service.remove_contact(bell, "L", "c-001")
+    service.set_rule(bell, "L", "EmailId EQUALS OR Age GREATERTHAN 60")
+    service.close()
+    return path.read_bytes().splitlines(keepends=True)
+
+
+_ACCOUNTS = {"bell": ("x", ("L", "M")), "eve": ("y", ("E",))}
+_QUERIES = [{"Username": "mallory", "Age": "18"}, {"EmailId": "t@example.com", "Age": "61"},
+            {"ProfileImage": {"phash64": "00ff00ff00ff00fe"}}, {"FullName": "trudy jonez"}]
+
+
+def _answer_every_route(service: ProviderService) -> list[int]:
+    """Drive each route of the REST surface over the accounts and lists of the data file."""
+    api = ProviderApi(service)
+
+    def call(method, path, payload=None, token=None):
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
+        body = b"" if payload is None else json.dumps(payload).encode()
+        return api.handle(ApiRequest(method, path, headers, body))
+
+    answers = [call("POST", "/v1/blocked-by", {"identifiers": query}) for query in _QUERIES]
+    answers.append(call("POST", "/v1/accounts", {"account_name": "zed", "secret": "z"}))
+    for account, (secret, lists) in _ACCOUNTS.items():
+        granted = call("POST", "/v1/tokens", {"account_name": account, "secret": secret})
+        token = granted.json().get("token", "none")
+        base = f"/v1/accounts/{account}"
+        answers += [granted, call("GET", f"{base}/crml", token=token),
+                    call("GET", f"{base}/crml?lists={','.join(lists)}", token=token),
+                    call("POST", f"{base}/blocklists",
+                         {"name": "N", "strictness": "Medium"}, token)]
+        for name in lists:
+            answers += [
+                call("POST", f"{base}/blocklists/{name}/contacts",
+                     {"identifiers": {"Username": "oscar", "Age": "40"}}, token),
+                call("DELETE", f"{base}/blocklists/{name}/contacts/c-002", token=token),
+                call("PUT", f"{base}/blocklists/{name}/rule", {"rule_text": "Age MATCHES"},
+                     token)]
+    return [answer.status for answer in answers]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_boot_of_a_broken_data_file_refuses_its_line_or_serves_every_route(data):
+    # a drawn iteration count could be up to 10**12: the real PBKDF2 would run for days
+    with mock.patch.object(ProviderService, "_hash_secret",
+                           staticmethod(_one_iteration_pbkdf2)), \
+            tempfile.TemporaryDirectory(prefix="sbo-boot-") as tmp:
+        path = Path(tmp) / "sbo.jsonl"
+        lines = _write_valid_data_file(path)
+        assert json.loads(lines[0])["kind"] == "snapshot" and len(lines) > 1
+        number = data.draw(st.integers(1, len(lines)))
+        broken = break_one_field(data, json.loads(lines[number - 1]))
+        lines[number - 1] = (json.dumps(broken, separators=(",", ":")) + "\n").encode()
+        path.write_bytes(b"".join(lines))
+        try:
+            service = make_service(path)
+        except StoreError as exc:
+            # a later line may be the first one that depends on the broken field
+            assert int(re.search(r" line (\d+): ", str(exc))[1]) >= number
+            return
+        try:
+            assert all(status < 500 for status in _answer_every_route(service))
+        finally:
+            service.close()
 
 
 def test_boot_refuses_a_data_file_it_cannot_open(tmp_path):

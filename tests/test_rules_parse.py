@@ -80,6 +80,8 @@ def test_greaterthan_requires_literal():
     with pytest.raises(ParseError) as err:
         parse_rule("Age GREATERTHAN")
     assert "integer" in str(err.value)
+    with pytest.raises(ParseError):  # a digit to str.isdigit(), not to int()
+        parse_rule("Age GREATERTHAN ²")
 
 
 def test_greaterthan_only_on_age():
