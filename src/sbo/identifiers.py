@@ -112,4 +112,3 @@ def normalize_value(kind: IdentifierKind, value: IdentifierValue) -> IdentifierV
     if isinstance(value, ImageHash):
         return value
     return normalize_identifier(kind, value)
-

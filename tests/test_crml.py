@@ -190,10 +190,10 @@ def test_rule_error_names_offending_list():
     assert err.value.list_name == "Block List 1"
 
 
-def _refused_in_both_formats(doc: CRMLDocument, error: type = SchemaError) -> None:
+def _refused_in_both_formats(doc: CRMLDocument) -> None:
     """Serialization writes any document; parsing its text in either format must refuse it."""
     for fmt in WireFormat:
-        with pytest.raises(error):
+        with pytest.raises(SchemaError):
             parse_crml(serialize_crml(doc, fmt), fmt)
 
 
@@ -222,11 +222,12 @@ def test_validate_duplicate_contact_id():
 
 
 def test_validate_wrong_value_shape():
-    doc = CRMLDocument(
-        "1.0", "p", "a", datetime(2025, 1, 1, tzinfo=timezone.utc),
-        (BlockListRecord("L", Strictness.MEDIUM, "EmailId EQUALS",
-                         (ContactRecord("c-001", {K.PROFILE_IMAGE: "not-a-hash"}),)),))
-    _refused_in_both_formats(doc)
+    for identifiers in ({K.PROFILE_IMAGE: "not-a-hash"}, {K.EMAIL_ID: ImageHash(1)}):
+        doc = CRMLDocument(
+            "1.0", "p", "a", datetime(2025, 1, 1, tzinfo=timezone.utc),
+            (BlockListRecord("L", Strictness.MEDIUM, "EmailId EQUALS",
+                             (ContactRecord("c-001", identifiers),)),))
+        _refused_in_both_formats(doc)
 
 
 def test_validate_empty_provider_account_and_version():
